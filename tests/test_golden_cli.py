@@ -1,0 +1,104 @@
+"""Byte-for-byte outputs of every learning command.
+
+Each of `learn`, `learn-mvd`, `learn-horn` (both example kinds) and
+`learn-q` runs on a small fixed target in `tests/golden/` with each oracle
+strategy and `--output trace --trace FILE`.  Its stdout and its trace file
+must equal `tests/golden/<case>.<oracle>.stdout` and `.trace` byte for
+byte.  Scripted runs replay `tests/golden/<case>.script`, which holds the
+counterexamples the random teacher gave with seed 11.
+
+For every teacher kind, a script whose first entry is not a counterexample
+and an empty script must end with the oracle exit code and a fixed
+message.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from mvdlearn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# case -> (command, target file in tests/golden, further arguments)
+COMMANDS = {
+    "learn": ("learn", "learn.mvdf"),
+    "learn-mvd": ("learn-mvd", "learn-mvd.mvdf"),
+    "learn-horn-interpretations": (
+        "learn-horn", "learn-horn.horn", "--examples", "interpretations",
+    ),
+    "learn-horn-entailments": (
+        "learn-horn", "learn-horn.horn", "--examples", "entailments",
+    ),
+    "learn-q": ("learn-q", "learn-q.mvdf"),
+}
+
+ORACLES = {
+    "exhaustive": ["--oracle", "exhaustive"],
+    "random": ["--oracle", "random", "--seed", "3"],
+    "script": ["--oracle", "script"],
+}
+
+# (case, script text, stderr): one invalid first entry and one empty
+# script per teacher kind; every run must exit with code 3
+SCRIPT_FAILURES = [
+    ("learn", "111111\n",
+     "mvdlearn: oracle error: scripted entry 1 (111111) is not a counterexample "
+     "for the current hypothesis\n"),
+    ("learn-mvd", "a,b,c,d,e\n0,0,0,0,0\n",
+     "mvdlearn: oracle error: scripted relation 1 is not a counterexample "
+     "for the current hypothesis\n"),
+    ("learn-horn-entailments", "* -> F\n",
+     "mvdlearn: oracle error: scripted entry 1 (* -> F) is not a counterexample "
+     "for the current hypothesis\n"),
+    ("learn-q", "* -> F\n",
+     "mvdlearn: oracle error: scripted entry 1 (* -> F) is not a counterexample "
+     "for the current hypothesis\n"),
+] + [
+    (case, "",
+     "mvdlearn: oracle error: script exhausted while the hypothesis still "
+     "differs from the target\n")
+    for case in ("learn", "learn-mvd", "learn-horn-entailments", "learn-q")
+]
+
+
+def _argv(case, oracle, script=None):
+    command, target, *extra = COMMANDS[case]
+    argv = [command, "--target", str(GOLDEN / target), *extra, *ORACLES[oracle]]
+    if oracle == "script":
+        argv += ["--script", str(script or GOLDEN / f"{case}.script")]
+    return argv
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(case, oracle, trace_path):
+    """(exit code, stdout, stderr, trace file text) of one golden case."""
+    argv = _argv(case, oracle) + ["--output", "trace", "--trace", str(trace_path)]
+    code, out, err = run_cli(argv)
+    return code, out, err, Path(trace_path).read_text()
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_learning_command_bytes(case, oracle, tmp_path):
+    code, out, err, trace = run_case(case, oracle, tmp_path / "trace.txt")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.{oracle}.stdout").read_text()
+    assert trace == (GOLDEN / f"{case}.{oracle}.trace").read_text()
+
+
+@pytest.mark.parametrize("case, script_text, stderr", SCRIPT_FAILURES)
+def test_bad_scripts_exit_with_oracle_error(case, script_text, stderr, tmp_path):
+    script = tmp_path / "bad.script"
+    script.write_text(script_text)
+    code, out, err = run_cli(_argv(case, "script", script))
+    assert (code, out, err) == (3, "", stderr)
