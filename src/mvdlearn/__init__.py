@@ -57,11 +57,9 @@ from .oracles import (
     MvdfInterpretationTeacher,
     QueryStats,
     RelationTeacher,
-    make_teacher,
     stats_snapshot,
 )
 from .reductions import (
-    FrameworkDescriptor,
     ReductionPair,
     compose,
     horn_f_eq,
@@ -76,6 +74,7 @@ from .reductions import (
     qh_f_mem,
     qh_interp_ce_substitute,
     relation_ce_to_interp,
+    translate_oracles,
 )
 from .relations import (
     AttributeSchema,

@@ -19,10 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .core import (
     DEFAULT_ENUM_CAP,
+    entails,
     format_clause,
     format_formula,
     parse_clause,
@@ -47,9 +49,11 @@ from .oracles import (
 from .reductions import (
     horn_entailment_reduction,
     horn_envelope,
+    horn_from_entailment_run,
     mvdf_to_horn,
     quasi2_reduction,
     relation_reduction,
+    translate_oracles,
 )
 from .relations import AttributeSchema, find_violating_pair, read_csv
 
@@ -191,104 +195,69 @@ def _emit_run(session, result, teacher, args):
         )
 
 
-def _cmd_learn(args) -> int:
-    target = parse_formula(_read_text(args.target), "mvd")
-    universe = target.universe
-    script = _load_script(args, "interpretation", universe)
-    teacher = MvdfInterpretationTeacher(
-        target, _STRATEGY[args.oracle], args.seed, script, cap=args.max_vars
-    )
-    session = LearnerSession(
-        universe,
-        teacher.membership_answer,
-        teacher.equivalence_answer,
-        bounds=TheoreticalBounds(universe.n, len(target.clauses)),
-    )
-    result = session.run()
-    _emit_run(session, result, teacher, args)
-    return 0
+class _Learning(NamedTuple):
+    """How one learning command wires its teacher to the learner.
+
+    The callables look their collaborators up when they are called, not
+    when the table is built.
+    """
+
+    formula_kind: str  # grammar of the target file
+    script_kind: str  # entry kind of --script files
+    teacher: Callable  # (target, strategy, seed, script, cap) -> teacher
+    reduction: Optional[Callable]  # teacher -> ReductionPair; None: no translation
+    clause_factor: int  # factor on the target's clause count in the bounds
+    extract: Optional[Callable]  # learned formula -> printed result; None: as learned
 
 
-def _cmd_learn_mvd(args) -> int:
-    target = parse_formula(_read_text(args.target), "mvd")
-    universe = target.universe
-    schema = AttributeSchema(universe.names)
-    script = _load_script(args, "relation", universe)
-    teacher = RelationTeacher(
-        target, schema, _STRATEGY[args.oracle], args.seed, script, cap=args.max_vars
-    )
-    reduction = relation_reduction(schema)
-    session = LearnerSession(
-        universe,
-        lambda interp: reduction.f_mem(interp, teacher.membership_answer),
-        lambda hypo: _translated_eq(reduction, teacher, hypo),
-        bounds=TheoreticalBounds(universe.n, len(target.clauses)),
-    )
-    result = session.run()
-    _emit_run(session, result, teacher, args)
-    return 0
-
-
-def _translated_eq(reduction, teacher, hypothesis):
-    counterexample = teacher.equivalence_answer(hypothesis)
-    if counterexample is None:
-        return None
-    return reduction.f_eq(counterexample, hypothesis, teacher.membership_answer)
-
-
-def _cmd_learn_horn(args) -> int:
-    target = parse_formula(_read_text(args.target), "horn")
-    universe = target.universe
-    # the working formula represents the target through the two-clause
+_LEARNING = {
+    "learn": _Learning(
+        "mvd", "interpretation",
+        lambda target, *opts: MvdfInterpretationTeacher(target, *opts),
+        None, 1, None,
+    ),
+    "learn-mvd": _Learning(
+        "mvd", "relation",
+        lambda target, *opts: RelationTeacher(
+            target, AttributeSchema(target.universe.names), *opts
+        ),
+        lambda teacher: relation_reduction(teacher.schema), 1, None,
+    ),
+    # the working formula represents a Horn target through the two-clause
     # encoding, so its size bound is twice the Horn clause count
-    bounds = TheoreticalBounds(universe.n, 2 * len(target.clauses))
-    if args.examples == "interpretations":
-        script = _load_script(args, "interpretation", universe)
-        teacher = MvdfInterpretationTeacher(
-            target, _STRATEGY[args.oracle], args.seed, script, cap=args.max_vars
-        )
-        session = LearnerSession(
-            universe, teacher.membership_answer, teacher.equivalence_answer,
-            bounds=bounds,
-        )
-        learned = session.run()
-        result = mvdf_to_horn(learned)
-    else:
-        script = _load_script(args, "horn", universe)
-        teacher = EntailmentTeacher(
-            target, "horn", _STRATEGY[args.oracle], args.seed, script, cap=args.max_vars
-        )
-        reduction = horn_entailment_reduction(universe)
-        session = LearnerSession(
-            universe,
-            lambda interp: reduction.f_mem(interp, teacher.membership_answer),
-            lambda hypo: _translated_eq(reduction, teacher, hypo),
-            bounds=bounds,
-        )
-        learned = session.run()
-        try:
-            result = mvdf_to_horn(learned)
-        except ConversionError:
-            result = horn_envelope(learned)
-    _emit_run(session, result, teacher, args)
-    return 0
+    ("learn-horn", "interpretations"): _Learning(
+        "horn", "interpretation",
+        lambda target, *opts: MvdfInterpretationTeacher(target, *opts),
+        None, 2, lambda learned: mvdf_to_horn(learned),
+    ),
+    ("learn-horn", "entailments"): _Learning(
+        "horn", "horn",
+        lambda target, *opts: EntailmentTeacher(target, "horn", *opts),
+        lambda teacher: horn_entailment_reduction(teacher.universe), 2,
+        lambda learned: horn_from_entailment_run(learned, mvdf_to_horn, horn_envelope),
+    ),
+    "learn-q": _Learning(
+        "mvd", "quasi2",
+        lambda target, *opts: EntailmentTeacher(target, "quasi2", *opts),
+        lambda teacher: quasi2_reduction(teacher.universe), 1, None,
+    ),
+}
 
 
-def _cmd_learn_q(args) -> int:
-    target = parse_formula(_read_text(args.target), "mvd")
+def _cmd_learn(args) -> int:
+    key = (args.command, args.examples) if args.command == "learn-horn" else args.command
+    row = _LEARNING[key]
+    target = parse_formula(_read_text(args.target), row.formula_kind)
     universe = target.universe
-    script = _load_script(args, "quasi2", universe)
-    teacher = EntailmentTeacher(
-        target, "quasi2", _STRATEGY[args.oracle], args.seed, script, cap=args.max_vars
-    )
-    reduction = quasi2_reduction(universe)
-    session = LearnerSession(
-        universe,
-        lambda interp: reduction.f_mem(interp, teacher.membership_answer),
-        lambda hypo: _translated_eq(reduction, teacher, hypo),
-        bounds=TheoreticalBounds(universe.n, len(target.clauses)),
-    )
-    result = session.run()
+    script = _load_script(args, row.script_kind, universe)
+    teacher = row.teacher(target, _STRATEGY[args.oracle], args.seed, script, args.max_vars)
+    mem, eq = teacher.membership_answer, teacher.equivalence_answer
+    if row.reduction is not None:
+        mem, eq = translate_oracles(row.reduction(teacher), mem, eq)
+    bounds = TheoreticalBounds(universe.n, row.clause_factor * len(target.clauses))
+    session = LearnerSession(universe, mem, eq, bounds=bounds)
+    learned = session.run()
+    result = learned if row.extract is None else row.extract(learned)
     _emit_run(session, result, teacher, args)
     return 0
 
@@ -307,24 +276,22 @@ def _cmd_check_mvd(args) -> int:
 
 
 def _cmd_entails(args) -> int:
-    from .core import entails as entails_check
-
     formula = parse_formula(_read_text(args.formula), args.formula_kind)
     kind = args.kind
     if kind == "auto":
         tokens = args.clause.split()
         kind = "mvd" if "|" in tokens or tokens[-1:] == ["F"] else "horn"
     clause = parse_clause(args.clause, formula.universe, kind)
-    answer = entails_check(formula, clause, cap=args.max_vars)
+    answer = entails(formula, clause, cap=args.max_vars)
     print("yes" if answer else "no")
     return 0
 
 
 _COMMANDS = {
     "learn": _cmd_learn,
-    "learn-mvd": _cmd_learn_mvd,
-    "learn-horn": _cmd_learn_horn,
-    "learn-q": _cmd_learn_q,
+    "learn-mvd": _cmd_learn,
+    "learn-horn": _cmd_learn,
+    "learn-q": _cmd_learn,
     "check-mvd": _cmd_check_mvd,
     "entails": _cmd_entails,
 }

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EnumerationCapError, ParseError, UniverseMismatchError
 
@@ -136,7 +136,7 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def _require_same_universe(*items) -> VariableUniverse:
@@ -218,6 +218,21 @@ def enum_masks(n: int) -> Iterator[int]:
             for i in combo:
                 mask |= 1 << i
             yield mask
+
+
+def canonical_select(bits: int, n: int, rank: int) -> Optional[int]:
+    """The mask of the given 0-based rank among the masks marked in ``bits``.
+
+    ``bits`` is an assignment set over ``n`` variables (bit ``m`` marks mask
+    ``m``); masks are ranked in the canonical order of :func:`enum_masks`.
+    Returns ``None`` when fewer than ``rank + 1`` masks are marked.
+    """
+    for mask in enum_masks(n):
+        if bits >> mask & 1:
+            if rank == 0:
+                return mask
+            rank -= 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +606,9 @@ def find_counterexample(f1, f2, cap: int = DEFAULT_ENUM_CAP):
     """
     if f1.universe != f2.universe:
         raise UniverseMismatchError("formulas over different universes")
-    universe = f1.universe
     diff = model_bitset(f1, cap) ^ model_bitset(f2, cap)
-    if diff == 0:
-        return None
-    for mask in enum_masks(universe.n):
-        if diff >> mask & 1:
-            return Interpretation(universe, mask)
-    raise AssertionError("non-empty symmetric difference with no witness")
+    mask = canonical_select(diff, f1.universe.n, 0)
+    return None if mask is None else Interpretation(f1.universe, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,6 @@ class LearnerSession:
 
         self.positives: list[Interpretation] = []
         self.negatives: list[Interpretation] = []
-        self.blocks: list[list[MvdClause]] = []
         self.replacements: list[int] = []  # per live negative slot
         self.h0: Optional[MvdFormula] = None
         self.hypothesis: Optional[MvdFormula] = None
@@ -284,6 +283,11 @@ class LearnerSession:
         return self._eq_raw(self.hypothesis)
 
     # -- bookkeeping ----------------------------------------------------------
+
+    @property
+    def blocks(self) -> list[list[MvdClause]]:
+        """The clause block of every stored negative, in store order."""
+        return [build_clauses(neg, self.positives) for neg in self.negatives]
 
     def potential(self) -> Optional[int]:
         """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
@@ -414,11 +418,7 @@ class LearnerSession:
         )
 
     def _rebuild(self) -> None:
-        self.blocks = [build_clauses(neg, self.positives) for neg in self.negatives]
-        clauses = list(self.h0.clauses)
-        for block in self.blocks:
-            clauses.extend(block)
-        self.hypothesis = MvdFormula(self.universe, clauses)
+        self.hypothesis = rebuild_hypothesis(self.h0, self.negatives, self.positives)
 
 
 def learn(

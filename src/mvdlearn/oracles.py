@@ -34,6 +34,7 @@ from .core import (
     QuasiHorn2Clause,
     VariableUniverse,
     bit_indices,
+    canonical_select,
     enum_masks,
     entails,
     format_clause,
@@ -149,11 +150,34 @@ class _TeacherBase:
         self._cursor = 0
         self.stats = {"membership_queries": 0, "equivalence_queries": 0}
 
-    def _next_scripted(self):
+    def _select_witness(self, diff: int) -> Interpretation:
+        """A counterexample from the non-empty assignment set ``diff``: the
+        first in canonical order, or a uniform pick for ``random``."""
+        rank = 0 if self.strategy == "exhaustive" else self._rng.randrange(popcount(diff))
+        return Interpretation(self.universe, canonical_select(diff, self.universe.n, rank))
+
+    def _scripted_answer(self, differs, separates, describe):
+        """Release the next scripted entry once it is checked.
+
+        ``differs()`` says whether the hypothesis still differs from the
+        target and is asked only when the script has run out; the run then
+        ends (``None``) or the script counts as exhausted.  An entry is
+        released when ``separates(entry)`` holds; ``describe(number,
+        entry)`` names it in the error otherwise.
+        """
         if self._cursor >= len(self._script):
+            if differs():
+                raise OracleContractError(
+                    "script exhausted while the hypothesis still differs from the target"
+                )
             return None
         entry = self._script[self._cursor]
         self._cursor += 1
+        if not separates(entry):
+            raise OracleContractError(
+                f"scripted {describe(self._cursor, entry)} is not a counterexample "
+                "for the current hypothesis"
+            )
         return entry
 
 
@@ -183,33 +207,14 @@ class MvdfInterpretationTeacher(_TeacherBase):
         self.stats["equivalence_queries"] += 1
         diff = self._target_models ^ model_bitset(hypothesis, self.cap)
         if self.strategy == "scripted":
-            entry = self._next_scripted()
-            if entry is None:
-                if diff == 0:
-                    return None
-                raise OracleContractError(
-                    "script exhausted while the hypothesis still differs from the target"
-                )
-            if not diff >> entry.mask & 1:
-                raise OracleContractError(
-                    f"scripted entry {self._cursor} ({entry.to_bits()}) is not a "
-                    "counterexample for the current hypothesis"
-                )
-            return entry
+            return self._scripted_answer(
+                lambda: diff != 0,
+                lambda entry: diff >> entry.mask & 1,
+                lambda number, entry: f"entry {number} ({entry.to_bits()})",
+            )
         if diff == 0:
             return None
-        if self.strategy == "exhaustive":
-            for mask in enum_masks(self.universe.n):
-                if diff >> mask & 1:
-                    return Interpretation(self.universe, mask)
-            raise AssertionError("unreachable")
-        pick = self._rng.randrange(popcount(diff))
-        for mask in enum_masks(self.universe.n):
-            if diff >> mask & 1:
-                if pick == 0:
-                    return Interpretation(self.universe, mask)
-                pick -= 1
-        raise AssertionError("unreachable")
+        return self._select_witness(diff)
 
 
 class EntailmentTeacher(_TeacherBase):
@@ -248,19 +253,12 @@ class EntailmentTeacher(_TeacherBase):
     def equivalence_answer(self, hypothesis):
         self.stats["equivalence_queries"] += 1
         if self.strategy == "scripted":
-            entry = self._next_scripted()
-            if entry is None:
-                if self._first_difference(hypothesis) is None:
-                    return None
-                raise OracleContractError(
-                    "script exhausted while the hypothesis still differs from the target"
-                )
-            if entails(self.target, entry, self.cap) == entails(hypothesis, entry, self.cap):
-                raise OracleContractError(
-                    f"scripted entry {self._cursor} ({format_clause(entry)}) is not a "
-                    "counterexample for the current hypothesis"
-                )
-            return entry
+            return self._scripted_answer(
+                lambda: self._first_difference(hypothesis) is not None,
+                lambda entry: (entails(self.target, entry, self.cap)
+                               != entails(hypothesis, entry, self.cap)),
+                lambda number, entry: f"entry {number} ({format_clause(entry)})",
+            )
         if self.strategy == "exhaustive":
             return self._first_difference(hypothesis)
         differing = [
@@ -318,42 +316,18 @@ class RelationTeacher(_TeacherBase):
         self.stats["equivalence_queries"] += 1
         diff = self._target_models ^ model_bitset(hypothesis, self.cap)
         if self.strategy == "scripted":
-            entry = self._next_scripted()
-            if entry is None:
-                if diff == 0:
-                    return None
-                raise OracleContractError(
-                    "script exhausted while the hypothesis still differs from the target"
-                )
-            if self.holds(entry, self.target) == self.holds(entry, hypothesis):
-                raise OracleContractError(
-                    f"scripted relation {self._cursor} is not a counterexample "
-                    "for the current hypothesis"
-                )
-            return entry
+            return self._scripted_answer(
+                lambda: diff != 0,
+                lambda entry: self.holds(entry, self.target) != self.holds(entry, hypothesis),
+                lambda number, entry: f"relation {number}",
+            )
         if diff == 0:
             return None
         if self.strategy == "random":
             found = self._random_relation(hypothesis)
             if found is not None:
                 return found
-            witness = self._pick_random_interp(diff)
-        else:
-            witness = None
-            for mask in enum_masks(self.universe.n):
-                if diff >> mask & 1:
-                    witness = Interpretation(self.universe, mask)
-                    break
-        return interp_to_pair(witness, self.schema)
-
-    def _pick_random_interp(self, diff: int) -> Interpretation:
-        pick = self._rng.randrange(popcount(diff))
-        for mask in enum_masks(self.universe.n):
-            if diff >> mask & 1:
-                if pick == 0:
-                    return Interpretation(self.universe, mask)
-                pick -= 1
-        raise AssertionError("unreachable")
+        return interp_to_pair(self._select_witness(diff), self.schema)
 
     def _random_relation(self, hypothesis) -> Optional[Relation]:
         # look for a multi-row counterexample so the pair search gets exercised
@@ -418,20 +392,3 @@ def parse_relation_script(text: str) -> list:
         if body:
             relations.append(read_csv(body))
     return relations
-
-
-def make_teacher(framework_kind: str, target, *, schema=None, strategy="exhaustive",
-                 seed=0, script=None, cap=DEFAULT_ENUM_CAP):
-    """Construct the teacher matching a framework kind tag."""
-    if framework_kind == "interpretation":
-        return MvdfInterpretationTeacher(target, strategy, seed, script, cap)
-    if framework_kind in ("horn-clause", "quasi2-clause", "mvd-clause"):
-        kind = {"horn-clause": "horn", "quasi2-clause": "quasi2", "mvd-clause": "mvd"}[
-            framework_kind
-        ]
-        return EntailmentTeacher(target, kind, strategy, seed, script, cap)
-    if framework_kind == "relation":
-        if schema is None:
-            schema = AttributeSchema(target.universe.names)
-        return RelationTeacher(target, schema, strategy, seed, script, cap)
-    raise ValueError(f"unknown framework kind {framework_kind!r}")

@@ -4,9 +4,11 @@ A reduction pair carries two functions.  ``f_mem`` answers a membership
 query of the destination framework by asking source-framework membership
 queries; ``f_eq`` turns a source-framework counterexample into a
 destination-framework counterexample, again consulting only the source
-membership oracle and the hypothesis.  :func:`compose` wires a pair in
-front of an inner learner so the inner learner runs unchanged while the
-oracles live in the source framework.
+membership oracle and the hypothesis.  :func:`translate_oracles` turns
+source-framework oracles into the learner's oracles through a pair, and
+:func:`compose` uses it to put a pair in front of an inner learner, so the
+inner learner runs unchanged while the oracles live in the source
+framework.
 
 Three concrete pairs are provided:
 
@@ -17,14 +19,12 @@ Three concrete pairs are provided:
 For the last pair the counterexample translation enumerates assignments
 instead of building the polynomial-size structure the general construction
 would use; this is exact but may spend exponentially many queries, which
-is acceptable at the universe sizes this package targets.  The enumerative
-route is flagged in the pair's ``notes`` so downstream reporting can say
-so.
+is acceptable at the universe sizes this package targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
@@ -46,73 +46,50 @@ from .errors import ConversionError, OracleContractError, UniverseMismatchError
 from .learner import learn
 from .relations import AttributeSchema, Relation, agreement_interp, mvd_holds
 
-FRAMEWORK_KINDS = (
-    "interpretation",
-    "horn-clause",
-    "mvd-clause",
-    "quasi2-clause",
-    "relation",
-)
-
-
-@dataclass(frozen=True)
-class FrameworkDescriptor:
-    """Example kind plus universe; fixes which satisfaction routine defines
-    concept membership for the framework."""
-
-    kind: str
-    universe: VariableUniverse
-
-    def __post_init__(self):
-        if self.kind not in FRAMEWORK_KINDS:
-            raise ValueError(f"unknown framework kind {self.kind!r}")
-
-    def concept_contains(self, representation, example) -> bool:
-        """Whether ``example`` lies in the concept named by ``representation``."""
-        if self.kind == "interpretation":
-            return satisfies(example, representation)
-        if self.kind == "relation":
-            return all(mvd_holds(example, c) for c in representation.clauses)
-        return entails(representation, example)
-
-
 @dataclass(frozen=True)
 class ReductionPair:
-    """The two translation functions plus the frameworks they connect.
+    """The two translation functions of a reduction.
 
     ``f_mem(example, mem_source) -> bool`` and
     ``f_eq(counterexample, hypothesis, mem_source) -> example`` may consult
     the target only through ``mem_source``; neither receives a target value.
     """
 
-    source: FrameworkDescriptor
-    destination: FrameworkDescriptor
     f_mem: Callable
     f_eq: Callable
-    notes: tuple = field(default=())
+
+
+def translate_oracles(reduction: ReductionPair, mem_source, eq_source):
+    """The learner's ``(mem, eq)`` oracles, answered by source-framework oracles.
+
+    Destination membership queries are answered through ``f_mem``, and
+    every source counterexample is translated through ``f_eq`` before the
+    learner sees it.  A ``yes`` from the source equivalence oracle is a
+    ``yes`` to the learner.
+    """
+
+    def mem(example):
+        return reduction.f_mem(example, mem_source)
+
+    def eq(hypothesis):
+        counterexample = eq_source(hypothesis)
+        if counterexample is None:
+            return None
+        return reduction.f_eq(counterexample, hypothesis, mem_source)
+
+    return mem, eq
 
 
 def compose(reduction: ReductionPair, inner_learner):
     """Run ``inner_learner`` against source-framework oracles.
 
-    Returns a learner with the same calling convention: destination
-    membership queries are answered through ``f_mem``, and every source
-    counterexample is translated through ``f_eq`` before the inner learner
-    sees it.  A ``yes`` from the source equivalence oracle ends the run
-    with the inner hypothesis.
+    Returns a learner with the same calling convention whose oracles are
+    translated by :func:`translate_oracles`.
     """
 
     def composed(universe, mem_source, eq_source, **kwargs):
-        def inner_mem(example):
-            return reduction.f_mem(example, mem_source)
-
-        def inner_eq(hypothesis):
-            counterexample = eq_source(hypothesis)
-            if counterexample is None:
-                return None
-            return reduction.f_eq(counterexample, hypothesis, mem_source)
-
-        return inner_learner(universe, inner_mem, inner_eq, **kwargs)
+        mem, eq = translate_oracles(reduction, mem_source, eq_source)
+        return inner_learner(universe, mem, eq, **kwargs)
 
     return composed
 
@@ -180,10 +157,7 @@ def relation_ce_to_interp(
 
 
 def relation_reduction(schema: AttributeSchema) -> ReductionPair:
-    universe = schema.to_universe()
     return ReductionPair(
-        source=FrameworkDescriptor("relation", universe),
-        destination=FrameworkDescriptor("interpretation", universe),
         f_mem=lambda interp, mem: mem(interp_to_pair(interp, schema)),
         f_eq=relation_ce_to_interp,
     )
@@ -278,12 +252,7 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
 
 
 def horn_entailment_reduction(universe: VariableUniverse) -> ReductionPair:
-    return ReductionPair(
-        source=FrameworkDescriptor("horn-clause", universe),
-        destination=FrameworkDescriptor("interpretation", universe),
-        f_mem=horn_f_mem,
-        f_eq=horn_f_eq,
-    )
+    return ReductionPair(f_mem=horn_f_mem, f_eq=horn_f_eq)
 
 
 def mvdf_to_horn(formula: MvdFormula) -> HornFormula:
@@ -377,17 +346,26 @@ def horn_i_via_mvdf(universe: VariableUniverse, mem_interp, eq_interp,
     return mvdf_to_horn(learned)
 
 
-def _horn_inner_for_entailments(universe, mem_interp, eq_interp, **session_kwargs):
-    # Against entailment oracles the run ends as soon as target and
-    # hypothesis entail the same Horn clauses, which does not force the
-    # (possibly non-Horn) working formula to match the target's models.
-    # Its Horn envelope is still exact there: two Horn formulas entailing
-    # the same Horn clauses are equivalent.
-    learned = learn(universe, mem_interp, eq_interp, **session_kwargs)
+def horn_from_entailment_run(learned, to_horn, envelope) -> HornFormula:
+    """Horn formula learned against entailment oracles.
+
+    Such a run ends as soon as target and hypothesis entail the same Horn
+    clauses, which does not force the (possibly non-Horn) working formula
+    to match the target's models.  So ``to_horn`` (:func:`mvdf_to_horn`)
+    is tried first, and when it fails, ``envelope`` (:func:`horn_envelope`)
+    gives the result.  The Horn envelope is exact there: two Horn formulas
+    entailing the same Horn clauses are equivalent.  Both extractions are
+    passed in, so the caller chooses the function objects that run.
+    """
     try:
-        return mvdf_to_horn(learned)
+        return to_horn(learned)
     except ConversionError:
-        return horn_envelope(learned)
+        return envelope(learned)
+
+
+def _horn_inner_for_entailments(universe, mem_interp, eq_interp, **session_kwargs):
+    learned = learn(universe, mem_interp, eq_interp, **session_kwargs)
+    return horn_from_entailment_run(learned, mvdf_to_horn, horn_envelope)
 
 
 def learn_horn_from_entailments(universe: VariableUniverse, mem_entail, eq_entail,
@@ -495,14 +473,7 @@ def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> 
 
 
 def quasi2_reduction(universe: VariableUniverse) -> ReductionPair:
-    return ReductionPair(
-        source=FrameworkDescriptor("quasi2-clause", universe),
-        destination=FrameworkDescriptor("interpretation", universe),
-        f_mem=qh_f_mem,
-        f_eq=qh_interp_ce_substitute,
-        notes=("counterexample translation enumerates assignments and may "
-               "exceed the polynomial query budget",),
-    )
+    return ReductionPair(f_mem=qh_f_mem, f_eq=qh_interp_ce_substitute)
 
 
 def learn_mvdf_from_quasi2(universe: VariableUniverse, mem_quasi, eq_quasi,

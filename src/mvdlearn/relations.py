@@ -148,22 +148,32 @@ def agreement_interp(t: Row, t2: Row, universe: VariableUniverse) -> Interpretat
     return Interpretation(universe, mask)
 
 
+def _csv_records(text: str):
+    """The CSV records of ``text``.  A line the csv module rejects (such as
+    one with a field over its size limit) raises SchemaError with its number."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(str(exc), row=reader.line_num) from None
+
+
 def read_csv(text: str) -> Relation:
     """Parse CSV text (header row first) into a relation.
 
     Duplicate rows collapse silently; ragged rows and duplicate header
     names are rejected with the offending row number.
     """
-    reader = csv.reader(io.StringIO(text))
+    records = _csv_records(text)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise SchemaError("empty input, expected a header row") from None
     if not header or any(not name.strip() for name in header):
         raise SchemaError("header row has an empty attribute name")
     schema = AttributeSchema(tuple(name.strip() for name in header))
     rows = []
-    for i, row in enumerate(reader, start=2):
+    for i, row in enumerate(records, start=2):
         if not row:
             continue
         if len(row) != schema.arity:
@@ -172,12 +182,3 @@ def read_csv(text: str) -> Relation:
             )
         rows.append(tuple(row))
     return Relation(schema, rows)
-
-
-def format_csv(relation: Relation) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(relation.schema.attributes)
-    for row in relation.rows:
-        writer.writerow(row)
-    return out.getvalue()

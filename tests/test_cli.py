@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import csv
 import subprocess
 import sys
 
@@ -131,6 +132,29 @@ def test_check_mvd_command(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("holds:")
+
+
+def test_csv_field_over_the_size_limit_is_invalid_input(tmp_path, capsys):
+    # the csv module rejects fields longer than its limit; both the relation
+    # file and a relation script must end with exit code 2, not a traceback
+    limit = csv.field_size_limit()
+    too_long = "x" * (limit + 1)
+    big = tmp_path / "big.csv"
+    big.write_text(f"A,B,C\n{too_long},y,z\n")
+    code, out, err = run_main(
+        capsys, ["check-mvd", "--relation", str(big), "--mvd", "A -> B | C"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"mvdlearn: row 2: field larger than field limit ({limit})\n"
+
+    target = tmp_path / "t.mvdf"
+    target.write_text("vars: A B C\nA -> B | C\n")
+    code, out, err = run_main(
+        capsys,
+        ["learn-mvd", "--target", str(target), "--oracle", "script", "--script", str(big)],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"mvdlearn: row 2: field larger than field limit ({limit})\n"
 
 
 def test_usage_error_exit_code(capsys):

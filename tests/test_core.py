@@ -33,7 +33,13 @@ from mvdlearn import (
     satisfies,
     violates,
 )
-from mvdlearn.core import enum_masks, model_bitset, satisfies_clause
+from mvdlearn.core import (
+    canonical_select,
+    enum_masks,
+    model_bitset,
+    popcount,
+    satisfies_clause,
+)
 
 from conftest import (
     GOLDEN_TARGET_TEXT,
@@ -282,6 +288,30 @@ def test_find_counterexample_contract():
     empty = MvdFormula(u)
     only_false = MvdFormula(u, [false_clause(u)])
     assert find_counterexample(empty, only_false).mask == u.full_mask
+
+
+def _scan_select(bits, n, rank):
+    # reference: the canonical-order scan the teachers ran inline before
+    # canonical_select
+    for mask in enum_masks(n):
+        if bits >> mask & 1:
+            if rank == 0:
+                return mask
+            rank -= 1
+    return None
+
+
+def test_canonical_select_matches_the_reference_scan():
+    rng = random.Random(2016)
+    for n in range(1, 7):
+        size = 1 << n
+        sets = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(40)]
+        for bits in sets:
+            # every rank, plus the first one past the end
+            for rank in range(popcount(bits) + 1):
+                assert canonical_select(bits, n, rank) == _scan_select(bits, n, rank)
+        assert canonical_select(0, n, 0) is None
+        assert canonical_select((1 << size) - 1, n, size - 1) == (1 << n) - 1
 
 
 def test_models_with_nonmodel_intersection_cover_the_universe():

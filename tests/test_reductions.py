@@ -39,7 +39,6 @@ from mvdlearn.oracles import (
     enumerate_quasi2_clauses,
 )
 from mvdlearn.reductions import (
-    FrameworkDescriptor,
     ReductionPair,
     compose,
     horn_envelope,
@@ -462,8 +461,6 @@ def test_membership_transforms_agree_with_destination_membership():
 def test_compose_identity_pair_matches_plain_learner(golden_target):
     u = golden_target.universe
     identity = ReductionPair(
-        source=FrameworkDescriptor("interpretation", u),
-        destination=FrameworkDescriptor("interpretation", u),
         f_mem=lambda example, mem: mem(example),
         f_eq=lambda example, hypothesis, mem: example,
     )
@@ -474,20 +471,6 @@ def test_compose_identity_pair_matches_plain_learner(golden_target):
         u, teacher_b.membership_answer, teacher_b.equivalence_answer
     )
     assert direct == composed
-
-
-def test_framework_descriptor_membership():
-    u = numbered_universe(3)
-    f = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
-    interp_fw = FrameworkDescriptor("interpretation", u)
-    assert interp_fw.concept_contains(f, Interpretation(u, 0))
-    quasi_fw = FrameworkDescriptor("quasi2-clause", u)
-    assert quasi_fw.concept_contains(f, QuasiHorn2Clause(u, 0b001, frozenset((1, 2))))
-    rel_fw = FrameworkDescriptor("relation", u)
-    schema = AttributeSchema(u.names)
-    assert rel_fw.concept_contains(f, Relation(schema, [("a", "b", "c")]))
-    with pytest.raises(ValueError):
-        FrameworkDescriptor("unknown", u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Relation semantics, violating-pair search and CSV ingestion."""
 
+import csv
 import random
 
 import pytest
@@ -161,6 +162,10 @@ def test_read_csv_errors():
         read_csv("A,A\n1,2\n")
     with pytest.raises(SchemaError, match="row 3"):
         read_csv("A,B\n1,2\n1\n")
+    # a field over the csv module's size limit is a schema error, not a crash
+    too_long = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(SchemaError, match="row 2: field larger than field limit"):
+        read_csv(f"A,B\n{too_long},1\n")
 
 
 def test_pair_bridge_identity_exhaustive():
