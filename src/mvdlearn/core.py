@@ -49,7 +49,9 @@ class VariableUniverse:
     the instance.  Instances compare equal when their name sequences match.
     """
 
-    __slots__ = ("names", "_index", "_var_patterns", "_violator_cache")
+    __slots__ = (
+        "names", "_index", "_var_patterns", "_layers", "_violator_cache", "__weakref__",
+    )
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -67,6 +69,10 @@ class VariableUniverse:
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
         self._var_patterns = None
+        self._layers = None
+        # keyed by clause kind and masks, never by the clause itself: a
+        # clause refers back to its universe, and that cycle would keep the
+        # cached bitsets alive until a full garbage collection
         self._violator_cache = {}
 
     @property
@@ -118,6 +124,19 @@ class VariableUniverse:
                 shift <<= 1
             self._var_patterns[bit] = pat
         return pat
+
+    def popcount_layers(self) -> list[int]:
+        """Bitsets over all 2**n masks, one per true-set size: entry ``k``
+        marks the masks with exactly ``k`` true variables."""
+        if self._layers is None:
+            layers = [1] + [0] * self.n
+            for bit in range(self.n):
+                shift = 1 << bit
+                # downwards, so that layers[k - 1] still lacks this variable
+                for k in range(bit + 1, 0, -1):
+                    layers[k] |= layers[k - 1] << shift
+            self._layers = layers
+        return self._layers
 
     def superset_pattern(self, mask: int) -> int:
         """Bitset marking every assignment whose true-set contains ``mask``."""
@@ -220,19 +239,39 @@ def enum_masks(n: int) -> Iterator[int]:
             yield mask
 
 
-def canonical_select(bits: int, n: int, rank: int) -> Optional[int]:
+def canonical_select(bits: int, universe: VariableUniverse, rank: int) -> Optional[int]:
     """The mask of the given 0-based rank among the masks marked in ``bits``.
 
-    ``bits`` is an assignment set over ``n`` variables (bit ``m`` marks mask
+    ``bits`` is an assignment set over ``universe`` (bit ``m`` marks mask
     ``m``); masks are ranked in the canonical order of :func:`enum_masks`.
     Returns ``None`` when fewer than ``rank + 1`` masks are marked.
+
+    The true-set size comes first in that order, so the popcount layers
+    locate the size.  Within a layer, once the variables below ``v`` are
+    fixed, the masks containing ``v`` precede those without it, so one
+    walk over the variables in ascending order narrows the set to the
+    mask.  Each step is an AND and a popcount over the 2**n-bit set.
     """
-    for mask in enum_masks(n):
-        if bits >> mask & 1:
-            if rank == 0:
-                return mask
-            rank -= 1
-    return None
+    for layer in universe.popcount_layers():
+        part = bits & layer
+        count = part.bit_count()
+        if rank < count:
+            break
+        rank -= count
+    else:
+        return None
+    bit = 0
+    while count > 1:
+        with_bit = part & universe.var_pattern(bit)
+        with_count = with_bit.bit_count()
+        if rank < with_count:
+            part, count = with_bit, with_count
+        else:
+            part ^= with_bit
+            rank -= with_count
+            count -= with_count
+        bit += 1
+    return part.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +562,23 @@ def satisfies(interp: Interpretation, formula) -> bool:
 # Enumeration-backed entailment and equivalence
 
 
+def _cache_key(clause: Clause) -> tuple:
+    """The clause's kind and masks: its identity within one universe."""
+    if isinstance(clause, (MvdClause, SplitClause)):
+        return (type(clause), clause.x_mask, clause.y_mask, clause.z_mask)
+    if isinstance(clause, HornClause):
+        return (HornClause, clause.antecedent, clause.consequent)
+    if isinstance(clause, QuasiHorn2Clause):
+        return (QuasiHorn2Clause, clause.antecedent, clause.consequents)
+    raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
+
+
 def violator_bitset(clause: Clause) -> int:
     """Bitset over all 2**n masks marking the assignments violating ``clause``."""
     universe = clause.universe
     cache = universe._violator_cache
-    cached = cache.get(clause)
+    key = _cache_key(clause)
+    cached = cache.get(key)
     if cached is not None:
         return cached
     full_ones = (1 << (1 << universe.n)) - 1
@@ -554,19 +605,16 @@ def violator_bitset(clause: Clause) -> int:
         bits = universe.superset_pattern(clause.antecedent)
         for v in clause.consequents:
             bits &= ~universe.var_pattern(v) & full_ones
-    elif isinstance(clause, SplitClause):
-        if clause.y_mask == 0 or clause.z_mask == 0:
-            bits = 0
-        else:
-            bits = (
-                universe.superset_pattern(clause.x_mask)
-                & ~universe.superset_pattern(clause.y_mask)
-                & ~universe.superset_pattern(clause.z_mask)
-                & full_ones
-            )
+    elif clause.y_mask == 0 or clause.z_mask == 0:  # SplitClause
+        bits = 0
     else:
-        raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
-    cache[clause] = bits
+        bits = (
+            universe.superset_pattern(clause.x_mask)
+            & ~universe.superset_pattern(clause.y_mask)
+            & ~universe.superset_pattern(clause.z_mask)
+            & full_ones
+        )
+    cache[key] = bits
     return bits
 
 
@@ -607,7 +655,7 @@ def find_counterexample(f1, f2, cap: int = DEFAULT_ENUM_CAP):
     if f1.universe != f2.universe:
         raise UniverseMismatchError("formulas over different universes")
     diff = model_bitset(f1, cap) ^ model_bitset(f2, cap)
-    mask = canonical_select(diff, f1.universe.n, 0)
+    mask = canonical_select(diff, f1.universe, 0)
     return None if mask is None else Interpretation(f1.universe, mask)
 
 

@@ -33,10 +33,15 @@ class ParseError(MvdLearnError):
 
 
 class SchemaError(MvdLearnError):
-    """Malformed relation input (bad header, ragged row, arity mismatch)."""
+    """Malformed relation input (bad header, ragged row, arity mismatch).
+
+    Carries the 1-based row number when one applies; ``detail`` is the
+    message without it.
+    """
 
     def __init__(self, message, row=None):
         self.row = row
+        self.detail = message
         if row is not None:
             message = f"row {row}: {message}"
         super().__init__(message)

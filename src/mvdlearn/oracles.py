@@ -36,13 +36,14 @@ from .core import (
     bit_indices,
     canonical_select,
     enum_masks,
-    entails,
+    entails,  # not called here; perfbench/spans.py wraps it under this name
     format_clause,
     model_bitset,
     parse_clause,
     popcount,
+    violator_bitset,
 )
-from .errors import OracleContractError, ParseError, UniverseMismatchError
+from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .reductions import interp_to_pair
 from .relations import AttributeSchema, Relation, mvd_holds, read_csv
 
@@ -154,7 +155,7 @@ class _TeacherBase:
         """A counterexample from the non-empty assignment set ``diff``: the
         first in canonical order, or a uniform pick for ``random``."""
         rank = 0 if self.strategy == "exhaustive" else self._rng.randrange(popcount(diff))
-        return Interpretation(self.universe, canonical_select(diff, self.universe.n, rank))
+        return Interpretation(self.universe, canonical_select(diff, self.universe, rank))
 
     def _scripted_answer(self, differs, separates, describe):
         """Release the next scripted entry once it is checked.
@@ -222,7 +223,9 @@ class EntailmentTeacher(_TeacherBase):
 
     ``kind`` picks the clause space: ``'horn'``, ``'quasi2'`` or ``'mvd'``.
     Equivalence compares the sets of entailed clauses; a counterexample is
-    a clause entailed by exactly one of target and hypothesis.
+    a clause entailed by exactly one of target and hypothesis.  A formula
+    entails a clause when none of its models violates it, so the target's
+    model set is built once and the hypothesis's once per equivalence query.
     """
 
     _SPACES = {
@@ -240,6 +243,7 @@ class EntailmentTeacher(_TeacherBase):
         self.kind = kind
         self.universe = target.universe
         self.cap = cap
+        self._target_models = model_bitset(target, cap)
 
     def _space(self):
         return self._SPACES[self.kind](self.universe)
@@ -248,31 +252,36 @@ class EntailmentTeacher(_TeacherBase):
         if example.universe != self.universe:
             raise UniverseMismatchError("membership query over the wrong universe")
         self.stats["membership_queries"] += 1
-        return entails(self.target, example, self.cap)
+        return self._target_models & violator_bitset(example) == 0
 
     def equivalence_answer(self, hypothesis):
         self.stats["equivalence_queries"] += 1
+        if hypothesis.universe != self.universe:
+            raise UniverseMismatchError("equivalence query over the wrong universe")
+        models = model_bitset(hypothesis, self.cap)
         if self.strategy == "scripted":
             return self._scripted_answer(
-                lambda: self._first_difference(hypothesis) is not None,
-                lambda entry: (entails(self.target, entry, self.cap)
-                               != entails(hypothesis, entry, self.cap)),
+                lambda: self._first_difference(models) is not None,
+                lambda entry: self._separates(models, entry),
                 lambda number, entry: f"entry {number} ({format_clause(entry)})",
             )
         if self.strategy == "exhaustive":
-            return self._first_difference(hypothesis)
-        differing = [
-            clause
-            for clause in self._space()
-            if entails(self.target, clause, self.cap) != entails(hypothesis, clause, self.cap)
-        ]
+            return self._first_difference(models)
+        differing = [clause for clause in self._space() if self._separates(models, clause)]
         if not differing:
             return None
         return self._rng.choice(differing)
 
-    def _first_difference(self, hypothesis):
+    def _separates(self, hypothesis_models: int, clause) -> bool:
+        """Whether exactly one of target and hypothesis entails ``clause``."""
+        if clause.universe != self.universe:
+            raise UniverseMismatchError("clause universe differs from formula universe")
+        violators = violator_bitset(clause)
+        return (self._target_models & violators == 0) != (hypothesis_models & violators == 0)
+
+    def _first_difference(self, hypothesis_models: int):
         for clause in self._space():
-            if entails(self.target, clause, self.cap) != entails(hypothesis, clause, self.cap):
+            if self._separates(hypothesis_models, clause):
                 return clause
         return None
 
@@ -380,15 +389,25 @@ def parse_clause_script(text: str, universe: VariableUniverse, kind: str) -> lis
 
 
 def parse_relation_script(text: str) -> list:
-    blocks: list[list[str]] = [[]]
-    for raw in text.splitlines():
+    """The relations of a relation script, one per `---`-separated block.
+
+    A malformed block raises :class:`SchemaError` numbered by the line of
+    the script file, its header line when the fault is in the header.
+    """
+    blocks: list[list[tuple[int, str]]] = [[]]
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.strip() == "---":
             blocks.append([])
             continue
-        blocks[-1].append(raw)
+        blocks[-1].append((line_no, raw))
     relations = []
     for block in blocks:
-        body = "\n".join(block).strip()
-        if body:
+        body = "\n".join(raw for _, raw in block).strip()
+        if not body:
+            continue
+        first_line = next(line_no for line_no, raw in block if raw.strip())
+        try:
             relations.append(read_csv(body))
+        except SchemaError as exc:
+            raise SchemaError(exc.detail, row=first_line - 1 + (exc.row or 1)) from None
     return relations

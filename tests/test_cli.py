@@ -157,6 +157,20 @@ def test_csv_field_over_the_size_limit_is_invalid_input(tmp_path, capsys):
     assert err == f"mvdlearn: row 2: field larger than field limit ({limit})\n"
 
 
+def test_relation_script_error_names_the_file_line(tmp_path, capsys):
+    target = tmp_path / "t.mvdf"
+    target.write_text("vars: A B C\nA -> B | C\n")
+    script = tmp_path / "rel.txt"
+    # the second block's short row sits on line 7 of the file
+    script.write_text("A,B,C\n0,0,0\n0,1,1\n---\nA,B,C\n0,0,0\n1,1\n")
+    code, out, err = run_main(
+        capsys,
+        ["learn-mvd", "--target", str(target), "--oracle", "script", "--script", str(script)],
+    )
+    assert (code, out) == (2, "")
+    assert err == "mvdlearn: row 7: expected 3 values, found 2\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["learn"])  # missing --target

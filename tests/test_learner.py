@@ -2,7 +2,9 @@
 reference values, randomized runs under the invariant observer, and the
 failure modes (invalid counterexamples, bound violations)."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -25,7 +27,14 @@ from mvdlearn import (
     update_positive_examples,
 )
 from mvdlearn.learner import LearnerSession, TheoreticalBounds
-from mvdlearn.oracles import MvdfInterpretationTeacher, stats_snapshot
+from mvdlearn.oracles import (
+    EntailmentTeacher,
+    MvdfInterpretationTeacher,
+    RelationTeacher,
+    stats_snapshot,
+)
+from mvdlearn.reductions import quasi2_reduction, relation_reduction, translate_oracles
+from mvdlearn.relations import AttributeSchema
 
 from conftest import numbered_universe, random_target
 from invariant_harness import InvariantObserver
@@ -402,3 +411,39 @@ def test_membership_answers_are_cached(golden_target):
     session = LearnerSession(u, mem, teacher.equivalence_answer)
     session.run()
     assert len(calls) == len(set(calls))
+
+
+def _finished_session_universe(kind):
+    """A weak reference to the universe of one finished, dropped session."""
+    target = parse_formula("vars: a b c d e\na b -> c | d e\nc -> a d | b e\n")
+    universe = target.universe
+    if kind == "interpretations":
+        teacher = MvdfInterpretationTeacher(target, "random", 3)
+        mem, eq = teacher.membership_answer, teacher.equivalence_answer
+    elif kind == "relations":
+        teacher = RelationTeacher(target, AttributeSchema(universe.names), "random", 3)
+        mem, eq = translate_oracles(
+            relation_reduction(teacher.schema),
+            teacher.membership_answer, teacher.equivalence_answer,
+        )
+    else:
+        teacher = EntailmentTeacher(target, "quasi2", "random", 3)
+        mem, eq = translate_oracles(
+            quasi2_reduction(universe), teacher.membership_answer, teacher.equivalence_answer
+        )
+    LearnerSession(universe, mem, eq).run()
+    assert universe._violator_cache
+    return weakref.ref(universe)
+
+
+@pytest.mark.parametrize("kind", ["interpretations", "relations", "quasi2-entailments"])
+def test_a_finished_session_frees_its_universe_without_the_cycle_collector(kind):
+    # the universe holds the session's model sets; reference counting alone
+    # must free it, so no cycle may run through it
+    gc.collect()
+    gc.disable()
+    try:
+        ref = _finished_session_universe(kind)
+        assert ref() is None
+    finally:
+        gc.enable()

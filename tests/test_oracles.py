@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import mvdlearn.oracles
 from mvdlearn import (
     AttributeSchema,
     HornClause,
@@ -11,6 +12,7 @@ from mvdlearn import (
     MvdFormula,
     OracleContractError,
     Relation,
+    SchemaError,
     entails,
     equivalent,
     find_counterexample,
@@ -31,8 +33,15 @@ from mvdlearn.oracles import (
     parse_relation_script,
     stats_snapshot,
 )
+from mvdlearn.reductions import relation_reduction, translate_oracles
 
-from conftest import numbered_universe, random_proper_clause, random_target
+from conftest import (
+    numbered_universe,
+    random_definite_horn,
+    random_proper_clause,
+    random_target,
+)
+from test_core import _scan_select
 
 
 def test_membership_answers(golden_target):
@@ -149,6 +158,29 @@ def test_entailment_teacher_answers(golden_target):
     assert teacher.equivalence_answer(golden_target) is None
 
 
+@pytest.mark.parametrize("kind", ["horn", "quasi2", "mvd"])
+def test_entailment_teacher_matches_entails_on_every_clause(kind):
+    # the teacher answers from model sets built once; the plain definition
+    # rebuilds the formula's models for every clause
+    rng = random.Random(4)
+    for n in range(2, 5):
+        u = numbered_universe(n)
+        for _ in range(6):
+            if kind == "horn":
+                target = random_definite_horn(u, rng)
+            else:
+                target = random_target(u, rng, max_clauses=3)
+            hypo = random_target(u, rng, max_clauses=3)
+            teacher = EntailmentTeacher(target, kind)
+            space = list(teacher._space())
+            for clause in space:
+                assert teacher.membership_answer(clause) == entails(target, clause)
+            first = next(
+                (c for c in space if entails(target, c) != entails(hypo, c)), None
+            )
+            assert teacher.equivalence_answer(hypo) == first
+
+
 def test_entailment_teacher_scripted_validation():
     target = parse_formula("vars: 1 2 3\n1 -> 2\n", "horn")
     u = target.universe
@@ -254,3 +286,53 @@ def test_parse_relation_script():
     assert len(got) == 2
     assert len(got[0]) == 1
     assert len(got[1]) == 2
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("A,B\n1,2\n---\n\nA,B\n3,4\n5\n", 7, "expected 2 values, found 1"),
+    ("A,B\n1,2\n---\nA,,C\n3,4,5\n", 4, "header row has an empty attribute name"),
+    ("\n\nA,B\n1,2,3\n", 4, "expected 2 values, found 3"),
+])
+def test_relation_script_errors_name_the_file_line(text, line, message):
+    with pytest.raises(SchemaError) as err:
+        parse_relation_script(text)
+    assert err.value.row == line
+    assert str(err.value) == f"row {line}: {message}"
+
+
+def _record_run(target, make_teacher, strategy, seed):
+    """Witnesses, learned formula and query counts of one seeded run."""
+    teacher = make_teacher(target, strategy, seed)
+    witnesses = []
+
+    def eq(hypothesis):
+        answer = teacher.equivalence_answer(hypothesis)
+        witnesses.append(answer)
+        return answer
+
+    mem = teacher.membership_answer
+    if isinstance(teacher, RelationTeacher):
+        mem, eq = translate_oracles(relation_reduction(teacher.schema), mem, eq)
+    session = LearnerSession(target.universe, mem, eq)
+    learned = session.run()
+    return witnesses, learned, stats_snapshot(session), dict(teacher.stats)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "random"])
+@pytest.mark.parametrize("make_teacher", [
+    lambda target, strategy, seed: MvdfInterpretationTeacher(target, strategy, seed),
+    lambda target, strategy, seed: RelationTeacher(
+        target, AttributeSchema(target.universe.names), strategy, seed
+    ),
+], ids=["interpretations", "relations"])
+def test_whole_runs_match_the_reference_witness_scan(make_teacher, strategy, monkeypatch):
+    rng = random.Random(10)
+    u = numbered_universe(10)
+    targets = [random_target(u, rng, allow_degenerate=False) for _ in range(6)]
+    fast = [_record_run(t, make_teacher, strategy, seed) for seed, t in enumerate(targets)]
+    monkeypatch.setattr(
+        mvdlearn.oracles, "canonical_select",
+        lambda bits, universe, rank: _scan_select(bits, universe.n, rank),
+    )
+    slow = [_record_run(t, make_teacher, strategy, seed) for seed, t in enumerate(targets)]
+    assert fast == slow
