@@ -297,9 +297,13 @@ _COMMANDS = {
 }
 
 
+# built once: parsing leaves no state on the parser, and a fresh parser per
+# call would leave its cyclic objects to the garbage collector
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -161,7 +161,7 @@ def popcount(mask: int) -> int:
 def _require_same_universe(*items) -> VariableUniverse:
     universe = items[0].universe
     for item in items[1:]:
-        if item.universe != universe:
+        if item.universe is not universe and item.universe != universe:
             raise UniverseMismatchError(
                 f"values over different universes: {universe!r} vs {item.universe!r}"
             )

@@ -128,6 +128,11 @@ def relation_ce_to_interp(
     the first pair on which the hypothesis holds but the target fails.
     The agreement assignment of that pair disagrees with exactly one of
     target and hypothesis.  At most ``|r|**2`` membership queries are spent.
+
+    The hypothesis side of a pair is judged on its agreement assignment: a
+    two-row relation satisfies a proper dependency exactly when that
+    assignment satisfies the clause, and a clause with an empty side holds
+    in every relation.
     """
     universe = hypothesis.universe
     if relation.schema.attributes != universe.names:
@@ -137,19 +142,17 @@ def relation_ce_to_interp(
             "a relation with fewer than two rows cannot be a counterexample"
         )
     hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
+    proper = [c for c in hypothesis.clauses if c.y_mask and c.z_mask]
     rows = relation.rows
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            pair = Relation(relation.schema, (rows[i], rows[j]))
-            pair_hypo = all(mvd_holds(pair, c) for c in hypothesis.clauses)
-            if hypothesis_holds:
-                # negative counterexample: target fails in the relation
-                if pair_hypo and not mem_relation(pair):
-                    return agreement_interp(rows[i], rows[j], universe)
-            else:
-                # positive counterexample: target holds in the relation
-                if not pair_hypo and mem_relation(pair):
-                    return agreement_interp(rows[i], rows[j], universe)
+            interp = agreement_interp(rows[i], rows[j], universe)
+            # a pair on which the hypothesis agrees with its verdict on the
+            # whole relation, and the target does not
+            if satisfies(interp, proper) == hypothesis_holds and bool(
+                mem_relation(Relation(relation.schema, (rows[i], rows[j])))
+            ) != hypothesis_holds:
+                return interp
     raise OracleContractError(
         "no row pair separates target and hypothesis; the relation is not a "
         "genuine counterexample"

@@ -13,7 +13,10 @@ clause values can be checked against assignments and against data.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -94,47 +97,84 @@ def _check_alignment(relation: Relation, clause: MvdClause) -> None:
         )
 
 
-def _swap(t: Row, t2: Row, y_mask: int) -> Row:
-    # t's values outside Y, t2's values on Y
-    return tuple(
-        t2[i] if y_mask >> i & 1 else t[i] for i in range(len(t))
-    )
+@functools.lru_cache(maxsize=1024)
+def _projection(mask: int):
+    """Row -> its values on the positions of ``mask``, as one hashable key."""
+    if mask == 0:
+        return lambda row: ()
+    return operator.itemgetter(*bit_indices(mask))
+
+
+def _failing_groups(relation: Relation, clause: MvdClause) -> list:
+    """Row positions of every X-group that is not the product of its Y- and
+    Z-projections (Fagin 1977), in the order of their first rows.
+
+    X, Y and Z partition the schema and rows are distinct, so a group is a
+    subset of its Y-projection times its Z-projection, and it equals that
+    product exactly when the sizes match.
+    """
+    rows = relation.rows
+    x_of = _projection(clause.x_mask)
+    groups: dict = {}
+    for pos, row in enumerate(rows):
+        groups.setdefault(x_of(row), []).append(pos)
+    if len(groups) == len(rows):
+        return []
+    y_of, z_of = _projection(clause.y_mask), _projection(clause.z_mask)
+    failing = []
+    for group in groups.values():
+        if len(group) > 1:
+            members = list(map(rows.__getitem__, group))
+            y_count = len(set(map(y_of, members)))
+            if len(members) != y_count * len(set(map(z_of, members))):
+                failing.append(group)
+    return failing
 
 
 def mvd_holds(relation: Relation, clause: MvdClause) -> bool:
     """Whether the dependency holds in the relation.
 
-    Rows are grouped by their X projection; within a group every ordered
-    pair must have its Y-swapped combination present.  Empty Y or Z makes
-    the swap reproduce an existing row, so those clauses hold trivially.
+    Rows are grouped by their X projection; every group must be the product
+    of its Y and Z projections, which one pass over the rows decides.
+    Empty Y or Z makes every swap reproduce an existing row, so those
+    clauses hold trivially.
     """
     _check_alignment(relation, clause)
     if clause.y_mask == 0 or clause.z_mask == 0:
         return True
-    return find_violating_pair(relation, clause) is None
+    return not _failing_groups(relation, clause)
+
+
+def _first_violation(group: list, rows: tuple, y_of, z_of) -> tuple:
+    """Least position pair ``(i, j)`` of a group failing the product count
+    whose Y-swaps are not both rows of the group; such a group always has
+    one.  Within a group a row is its (Y, Z) pair."""
+    ys = [y_of(rows[p]) for p in group]
+    zs = [z_of(rows[p]) for p in group]
+    present = set(zip(ys, zs))
+    for a, b in itertools.combinations(range(len(group)), 2):
+        if (ys[b], zs[a]) not in present or (ys[a], zs[b]) not in present:
+            return group[a], group[b]
 
 
 def find_violating_pair(relation: Relation, clause: MvdClause) -> Optional[tuple]:
-    """First row pair (in row order) witnessing a failure, else ``None``."""
+    """First row pair (in row order) witnessing a failure, else ``None``.
+
+    The pair ``(t, t2)`` is rows ``i`` and ``j`` for the least ``(i, j)``,
+    ``i < j``, such that the rows agree on X and swapping their Y values
+    gives a row the relation lacks.  Only the X-groups that fail the
+    product count are searched.
+    """
     _check_alignment(relation, clause)
     if clause.y_mask == 0 or clause.z_mask == 0:
         return None
-    x_idx = tuple(bit_indices(clause.x_mask))
-    groups: dict[tuple, list[int]] = {}
-    for pos, row in enumerate(relation.rows):
-        groups.setdefault(tuple(row[i] for i in x_idx), []).append(pos)
+    failing = _failing_groups(relation, clause)
+    if not failing:
+        return None
     rows = relation.rows
-    for i in range(len(rows)):
-        key = tuple(rows[i][k] for k in x_idx)
-        for j in groups[key]:
-            if j <= i:
-                continue
-            t, t2 = rows[i], rows[j]
-            if _swap(t, t2, clause.y_mask) not in relation or _swap(
-                t2, t, clause.y_mask
-            ) not in relation:
-                return (t, t2)
-    return None
+    y_of, z_of = _projection(clause.y_mask), _projection(clause.z_mask)
+    i, j = min(_first_violation(group, rows, y_of, z_of) for group in failing)
+    return rows[i], rows[j]
 
 
 def agreement_interp(t: Row, t2: Row, universe: VariableUniverse) -> Interpretation:

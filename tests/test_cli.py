@@ -177,6 +177,30 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 1
 
 
+def test_one_parser_serves_every_call(golden_files, capsys):
+    # main parses with one parser built at import; a usage error and an
+    # input error in between must not change the output of a good command,
+    # and their stderr must equal that of a fresh process
+    target, script = golden_files
+    good = ["learn", "--target", str(target), "--oracle", "script", "--script", str(script)]
+    usage = ["learn", "--oracle", "nope"]
+    bad_input = ["entails", "--formula", str(target), "--clause", "1 -> 9 | 2"]
+
+    first = run_main(capsys, good)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(usage)
+    usage_err = capsys.readouterr().err
+    fresh_code, _, fresh_err = _cli_bytes(usage)
+    assert exit_info.value.code == fresh_code == 1
+    assert usage_err == fresh_err
+    code, out, err = run_main(capsys, bad_input)
+    fresh_code, fresh_out, fresh_err = _cli_bytes(bad_input)
+    assert (code, out, err) == (fresh_code, fresh_out.decode(), fresh_err)
+    assert code == 2
+    assert run_main(capsys, good) == first
+
+
 def test_script_flag_consistency_is_usage_error(tmp_path, capsys):
     target = tmp_path / "t.mvdf"
     target.write_text(GOLDEN_TARGET_TEXT)

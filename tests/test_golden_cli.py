@@ -10,6 +10,10 @@ counterexamples the random teacher gave with seed 11.
 For every teacher kind, a script whose first entry is not a counterexample
 and an empty script must end with the oracle exit code and a fixed
 message.
+
+`check-mvd` on `tests/golden/check-mvd.csv`, with one holding and one
+violated dependency, must print `tests/golden/check-mvd.stdout`; the CI
+workflow compares the installed console script with the same file.
 """
 
 import contextlib
@@ -102,3 +106,14 @@ def test_bad_scripts_exit_with_oracle_error(case, script_text, stderr, tmp_path)
     script.write_text(script_text)
     code, out, err = run_cli(_argv(case, "script", script))
     assert (code, out, err) == (3, "", stderr)
+
+
+def test_check_mvd_bytes():
+    out = ""
+    for mvd in ("NAME -> BOOK | PET", "BOOK -> NAME | PET"):
+        code, stdout, err = run_cli(
+            ["check-mvd", "--relation", str(GOLDEN / "check-mvd.csv"), "--mvd", mvd]
+        )
+        assert (code, err) == (0, "")
+        out += stdout
+    assert out == (GOLDEN / "check-mvd.stdout").read_text()

@@ -11,13 +11,16 @@ from mvdlearn import (
     HornClause,
     HornFormula,
     Interpretation,
+    MvdClause,
     MvdFormula,
     OracleContractError,
     QuasiHorn2Clause,
     Relation,
     SplitClause,
+    agreement_interp,
     entails,
     equivalent,
+    false_clause,
     find_counterexample,
     horn_formula_to_mvd,
     interp_to_pair,
@@ -138,6 +141,78 @@ def test_relation_ce_single_row_aborts():
     single = Relation(schema, [("a", "b", "c")])
     with pytest.raises(OracleContractError, match="fewer than two rows"):
         relation_ce_to_interp(single, hypo, relation_oracle(hypo))
+
+
+def _reference_relation_ce_to_interp(relation, hypothesis, mem_relation):
+    """The pair scan that judged each pair's hypothesis side by checking the
+    dependencies in a two-row relation, kept as the reference."""
+    universe = hypothesis.universe
+    if len(relation) < 2:
+        raise OracleContractError(
+            "a relation with fewer than two rows cannot be a counterexample"
+        )
+    hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
+    rows = relation.rows
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            pair = Relation(relation.schema, (rows[i], rows[j]))
+            pair_hypo = all(mvd_holds(pair, c) for c in hypothesis.clauses)
+            if hypothesis_holds:
+                if pair_hypo and not mem_relation(pair):
+                    return agreement_interp(rows[i], rows[j], universe)
+            else:
+                if not pair_hypo and mem_relation(pair):
+                    return agreement_interp(rows[i], rows[j], universe)
+    raise OracleContractError(
+        "no row pair separates target and hypothesis; the relation is not a "
+        "genuine counterexample"
+    )
+
+
+def _recorded_run(extract, relation, hypothesis, target):
+    """(result or error text, relations asked) of one extraction; the
+    membership oracle records every relation handed to it, in order."""
+    asked = []
+
+    def mem(rel):
+        asked.append((rel.schema, rel.rows))
+        return all(mvd_holds(rel, c) for c in target.clauses)
+
+    try:
+        result = extract(relation, hypothesis, mem)
+    except OracleContractError as exc:
+        result = f"error: {exc}"
+    return result, asked
+
+
+def test_relation_ce_matches_the_reference_pair_scan():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randrange(3, 7)
+        u = numbered_universe(n)
+        schema = AttributeSchema(u.names)
+        target = random_target(u, rng, max_clauses=3, allow_degenerate=False)
+        clauses = [random_proper_clause(u, rng) for _ in range(rng.randrange(0, 3))]
+        # the degenerate clauses a learner's h0 starts with
+        if rng.random() < 0.5:
+            clauses.append(false_clause(u))
+        for v in range(n):
+            if rng.random() < 0.4:
+                clauses.append(MvdClause(u, u.full_mask ^ (1 << v), 1 << v, 0))
+        hypothesis = MvdFormula(u, clauses)
+        alphabet = rng.randrange(2, 4)
+        relation = Relation(schema, [
+            tuple(str(rng.randrange(alphabet)) for _ in range(n))
+            for _ in range(rng.randrange(2, 9))
+        ])
+        got = _recorded_run(relation_ce_to_interp, relation, hypothesis, target)
+        expected = _recorded_run(
+            _reference_relation_ce_to_interp, relation, hypothesis, target
+        )
+        assert got == expected
+        outcomes.add(isinstance(got[0], str))
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

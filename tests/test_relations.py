@@ -19,7 +19,9 @@ from mvdlearn import (
     read_csv,
     violates,
 )
-from mvdlearn.core import enum_masks
+from mvdlearn.cli import main
+from mvdlearn.core import bit_indices, enum_masks
+from mvdlearn.oracles import enumerate_mvd_clauses
 
 from conftest import numbered_universe, random_proper_clause
 
@@ -119,6 +121,111 @@ def test_find_violating_pair_returns_first_in_row_order():
     assert find_violating_pair(Relation(schema, rows), clause) == (
         ("g", "h", "i"),
         ("g", "h2", "i2"),
+    )
+
+
+def _reference_violating_pair(relation, clause):
+    """The all-pairs swap search the product count replaced, kept as the
+    reference: every pair of each X-group, in row order."""
+    if clause.y_mask == 0 or clause.z_mask == 0:
+        return None
+
+    def swap(t, t2):
+        return tuple(t2[i] if clause.y_mask >> i & 1 else t[i] for i in range(len(t)))
+
+    x_idx = tuple(bit_indices(clause.x_mask))
+    groups = {}
+    for pos, row in enumerate(relation.rows):
+        groups.setdefault(tuple(row[i] for i in x_idx), []).append(pos)
+    rows = relation.rows
+    for i in range(len(rows)):
+        for j in groups[tuple(rows[i][k] for k in x_idx)]:
+            if j > i and (swap(rows[i], rows[j]) not in relation
+                          or swap(rows[j], rows[i]) not in relation):
+                return (rows[i], rows[j])
+    return None
+
+
+def test_violating_pair_matches_the_reference_search_on_every_clause():
+    rng = random.Random(23)
+    verdicts = set()
+    largest_group = 0
+    for _ in range(60):
+        n = rng.randrange(2, 7)
+        u = numbered_universe(n)
+        values = [rng.randrange(1, 4) for _ in range(n)]
+        rows = [
+            tuple(str(rng.randrange(values[c])) for c in range(n))
+            for _ in range(rng.randrange(1, 41))
+        ]
+        r = Relation(AttributeSchema(u.names), rows)
+        for clause in enumerate_mvd_clauses(u):
+            expected = _reference_violating_pair(r, clause)
+            assert find_violating_pair(r, clause) == expected, (rows, clause)
+            assert mvd_holds(r, clause) == (expected is None)
+            if clause.y_mask and clause.z_mask:
+                verdicts.add(expected is None)
+                x_values = [tuple(row[i] for i in bit_indices(clause.x_mask))
+                            for row in r.rows]
+                largest_group = max(largest_group, max(map(x_values.count, x_values)))
+    # the random relations reach both verdicts on proper clauses, and
+    # X-groups far larger than a pair
+    assert verdicts == {True, False}
+    assert largest_group >= 20
+
+
+def test_earliest_pair_can_sit_in_a_later_group():
+    # group "a" (rows 0, 3, 4) starts first and fails the count, but its
+    # earliest violating pair is (3, 4); the least pair (1, 2) lies in
+    # group "g", which starts later
+    u = numbered_universe(3)
+    rows = [
+        ("a", "b", "c"),
+        ("g", "h", "i"),
+        ("g", "h2", "i2"),
+        ("a", "b2", "c"),
+        ("a", "b", "c2"),
+    ]
+    r = Relation(AttributeSchema(u.names), rows)
+    clause = parse_clause("1 -> 2 | 3", u)
+    assert find_violating_pair(r, clause) == (rows[1], rows[2])
+    assert _reference_violating_pair(r, clause) == (rows[1], rows[2])
+    without_g = Relation(r.schema, [rows[0], rows[3], rows[4]])
+    assert find_violating_pair(without_g, clause) == (rows[3], rows[4])
+
+
+def _product_rows(x, ys, zs):
+    return [(x, y, z) for y in ys for z in zs]
+
+
+def test_large_product_relation(tmp_path, capsys):
+    # one 100 x 120 X-group plus 200 groups of 2 x 2: 12,800 rows for which
+    # A -> B | C holds; dropping one row of a small group violates it
+    rows = _product_rows("a0", [f"b{k}" for k in range(100)], [f"c{k}" for k in range(120)])
+    for g in range(1, 201):
+        rows += _product_rows(f"a{g}", [f"b{g}", f"b{g}'"], [f"c{g}", f"c{g}'"])
+    assert len(rows) == 12800
+    dropped = ("a7", "b7'", "c7'")
+    violated_rows = [row for row in rows if row != dropped]
+    schema = AttributeSchema(("A", "B", "C"))
+    clause = parse_clause("A -> B | C", schema.to_universe())
+    expected_pair = (("a7", "b7", "c7'"), ("a7", "b7'", "c7"))
+
+    holding = Relation(schema, rows)
+    assert mvd_holds(holding, clause)
+    assert find_violating_pair(holding, clause) is None
+    violated = Relation(schema, violated_rows)
+    assert not mvd_holds(violated, clause)
+    assert find_violating_pair(violated, clause) == expected_pair
+
+    for name, data in (("holds.csv", rows), ("violated.csv", violated_rows)):
+        path = tmp_path / name
+        path.write_text("A,B,C\n" + "".join(",".join(row) + "\n" for row in data))
+        assert main(["check-mvd", "--relation", str(path), "--mvd", "A -> B | C"]) == 0
+    assert capsys.readouterr().out == (
+        "holds: A -> B | C\n"
+        "violated: A -> B | C\n"
+        "pair: a7,b7,c7' / a7,b7',c7\n"
     )
 
 
