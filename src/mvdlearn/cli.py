@@ -233,13 +233,13 @@ _LEARNING = {
     ("learn-horn", "entailments"): _Learning(
         "horn", "horn",
         lambda target, *opts: EntailmentTeacher(target, "horn", *opts),
-        lambda teacher: horn_entailment_reduction(teacher.universe), 2,
+        lambda teacher: horn_entailment_reduction(), 2,
         lambda learned: horn_from_entailment_run(learned, mvdf_to_horn, horn_envelope),
     ),
     "learn-q": _Learning(
         "mvd", "quasi2",
         lambda target, *opts: EntailmentTeacher(target, "quasi2", *opts),
-        lambda teacher: quasi2_reduction(teacher.universe), 1, None,
+        lambda teacher: quasi2_reduction(), 1, None,
     ),
 }
 

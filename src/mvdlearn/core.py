@@ -223,14 +223,9 @@ def intersect(a: Interpretation, b: Interpretation) -> Interpretation:
     return Interpretation(a.universe, a.mask & b.mask)
 
 
-def enum_interpretations(universe: VariableUniverse) -> Iterator[Interpretation]:
-    """All interpretations in the canonical order: ascending size of the
-    true-set, ties broken lexicographically on the index tuple."""
-    for mask in enum_masks(universe.n):
-        yield Interpretation(universe, mask)
-
-
 def enum_masks(n: int) -> Iterator[int]:
+    """All masks over ``n`` variables in the canonical order: ascending size
+    of the true-set, ties broken lexicographically on the index tuple."""
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
             mask = 0
@@ -272,6 +267,18 @@ def canonical_select(bits: int, universe: VariableUniverse, rank: int) -> Option
             count -= with_count
         bit += 1
     return part.bit_length() - 1
+
+
+def down_closure(bits: int, universe: VariableUniverse) -> int:
+    """Bitset marking every mask contained in some mask marked in ``bits``.
+
+    One shift-OR per variable: after variable ``v`` the set holds every
+    mask reached by clearing any of the variables up to ``v`` in a marked
+    mask.
+    """
+    for v in range(universe.n):
+        bits |= (bits & universe.var_pattern(v)) >> (1 << v)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +356,10 @@ class HornClause:
                 raise ValueError("consequent outside the universe")
             if self.antecedent >> self.consequent & 1:
                 raise ValueError("consequent must not occur in the antecedent")
+
+    @property
+    def consequent_mask(self) -> int:
+        return 0 if self.consequent is None else 1 << self.consequent
 
     def __repr__(self):
         return f"HornClause({format_clause(self)!r})"
@@ -581,39 +592,26 @@ def violator_bitset(clause: Clause) -> int:
     cached = cache.get(key)
     if cached is not None:
         return cached
-    full_ones = (1 << (1 << universe.n)) - 1
-    if isinstance(clause, MvdClause):
+    if isinstance(clause, (MvdClause, SplitClause)):
         y, z = clause.y_mask, clause.z_mask
         if y and z:
             bits = (
                 universe.superset_pattern(clause.x_mask)
                 & ~universe.superset_pattern(y)
                 & ~universe.superset_pattern(z)
-                & full_ones
             )
+        elif isinstance(clause, SplitClause):
+            bits = 0  # an empty side reads as true
         elif y or z:
             bits = 0
             for v in bit_indices(y | z):
                 bits |= 1 << (universe.full_mask ^ (1 << v))
         else:
             bits = 1 << universe.full_mask
-    elif isinstance(clause, HornClause):
+    else:  # HornClause, QuasiHorn2Clause: antecedent true, every consequent false
         bits = universe.superset_pattern(clause.antecedent)
-        if clause.consequent is not None:
-            bits &= ~universe.var_pattern(clause.consequent) & full_ones
-    elif isinstance(clause, QuasiHorn2Clause):
-        bits = universe.superset_pattern(clause.antecedent)
-        for v in clause.consequents:
-            bits &= ~universe.var_pattern(v) & full_ones
-    elif clause.y_mask == 0 or clause.z_mask == 0:  # SplitClause
-        bits = 0
-    else:
-        bits = (
-            universe.superset_pattern(clause.x_mask)
-            & ~universe.superset_pattern(clause.y_mask)
-            & ~universe.superset_pattern(clause.z_mask)
-            & full_ones
-        )
+        for v in bit_indices(clause.consequent_mask):
+            bits &= ~universe.var_pattern(v)
     cache[key] = bits
     return bits
 

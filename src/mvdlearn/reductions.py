@@ -16,10 +16,12 @@ Three concrete pairs are provided:
 * Horn entailments  -> truth assignments (with a Horn extraction at the end);
 * two-literal-clause entailments -> truth assignments.
 
-For the last pair the counterexample translation enumerates assignments
-instead of building the polynomial-size structure the general construction
-would use; this is exact but may spend exponentially many queries, which
-is acceptable at the universe sizes this package targets.
+For the last pair the counterexample translation walks the assignments
+breaking the clause instead of building the polynomial-size structure the
+general construction would use; this is exact but may spend exponentially
+many queries, which is acceptable at the universe sizes this package
+targets.  Assignment sets are the bitsets of :mod:`mvdlearn.core`
+throughout.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ from .core import (
     SplitClause,
     VariableUniverse,
     bit_indices,
-    enum_interpretations,
+    canonical_select,
+    down_closure,
     entails,
     model_bitset,
     satisfies,
+    violator_bitset,
 )
 from .errors import ConversionError, OracleContractError, UniverseMismatchError
 from .learner import learn
@@ -226,7 +230,10 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
     exactly because the hypothesis does not entail the clause).
     """
     universe = clause.universe
-    if entails(hypothesis, clause):
+    models = model_bitset(hypothesis)
+    # a Horn clause's violators are exactly the assignments realizing it
+    realizing = models & violator_bitset(clause)
+    if not realizing:
         closure = _unit_closure(
             clause.antecedent,
             universe,
@@ -236,25 +243,20 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
     closure = _unit_closure(
         clause.antecedent,
         universe,
-        lambda mask, v: entails(hypothesis, HornClause(universe, mask, v)),
+        lambda mask, v: models & violator_bitset(HornClause(universe, mask, v)) == 0,
     )
-    candidate = Interpretation(universe, closure)
-    if satisfies(candidate, hypothesis):
-        return candidate
-    need = clause.antecedent
-    avoid = 0 if clause.consequent is None else 1 << clause.consequent
-    for interp in enum_interpretations(universe):
-        if interp.mask & need != need or interp.mask & avoid:
-            continue
-        if satisfies(interp, hypothesis):
-            return interp
-    raise OracleContractError(
-        "no hypothesis model realizes the clause counterexample; the clause "
-        "does not separate target and hypothesis"
-    )
+    if models >> closure & 1:
+        return Interpretation(universe, closure)
+    mask = canonical_select(realizing, universe, 0)
+    if mask is None:
+        raise OracleContractError(
+            "no hypothesis model realizes the clause counterexample; the clause "
+            "does not separate target and hypothesis"
+        )
+    return Interpretation(universe, mask)
 
 
-def horn_entailment_reduction(universe: VariableUniverse) -> ReductionPair:
+def horn_entailment_reduction() -> ReductionPair:
     return ReductionPair(f_mem=horn_f_mem, f_eq=horn_f_eq)
 
 
@@ -268,18 +270,19 @@ def mvdf_to_horn(formula: MvdFormula) -> HornFormula:
     :class:`ConversionError` carrying the residual formula.
     """
     universe = formula.universe
+    models = model_bitset(formula)
     clauses = []
     for x in dict.fromkeys(c.x_mask for c in formula.clauses):
         for v in range(universe.n):
             if x >> v & 1:
                 continue
             candidate = HornClause(universe, x, v)
-            if entails(formula, candidate):
+            if models & violator_bitset(candidate) == 0:
                 clauses.append(candidate)
-    if not model_bitset(formula) >> universe.full_mask & 1:
+    if not models >> universe.full_mask & 1:
         clauses.append(HornClause(universe, universe.full_mask, None))
     horn = HornFormula(universe, clauses)
-    if model_bitset(horn) != model_bitset(formula):
+    if model_bitset(horn) != models:
         raise ConversionError(
             "formula is not Horn-expressible under antecedent extraction",
             residual=formula,
@@ -295,44 +298,34 @@ def horn_envelope(formula) -> HornFormula:
     intersection.  Unlike :func:`mvdf_to_horn` this never fails, but the
     result is only equivalent to the input when the input was
     Horn-expressible to begin with.
+
+    A mask m other than V is in the closure exactly when, for every
+    variable v outside m, some model containing m lacks v, that is when m
+    lies in ``A_v``: the down-closure of the models lacking v, together
+    with every mask containing v.  Outside the closure, the least v whose
+    ``A_v`` lacks m is the least variable outside m that every model
+    containing m has, and ``m -> v`` is the clause emitted for m.  V is in the
+    closure only when it is a model, and ``* -> F`` excludes it otherwise.
     """
     universe = formula.universe
     models = model_bitset(formula)
-    closed = {m for m in range(1 << universe.n) if models >> m & 1}
-    frontier = sorted(closed)
-    while frontier:
-        fresh = set()
-        base = sorted(closed)
-        for a in frontier:
-            for b in base:
-                inter = a & b
-                if inter not in closed and inter not in fresh:
-                    fresh.add(inter)
-        closed |= fresh
-        frontier = sorted(fresh)
+    top = 1 << universe.full_mask
+    closures = []
+    closed = top - 1
+    for v in range(universe.n):
+        pattern = universe.var_pattern(v)
+        closures.append(down_closure(models & ~pattern, universe) | pattern)
+        closed &= closures[v]
+    closed |= models & top
     clauses = []
-    for m in range(1 << universe.n):
-        if m in closed:
-            continue
+    for m in bit_indices(((top << 1) - 1) ^ closed):
         if m == universe.full_mask:
             clauses.append(HornClause(universe, m, None))
             continue
-        supersets = [s for s in closed if s & m == m]
-        if supersets:
-            hull = universe.full_mask
-            for s in supersets:
-                hull &= s
-            extra = hull & ~m
-        else:
-            extra = universe.full_mask & ~m
-        v = next(bit_indices(extra))
+        v = next(v for v, a_v in enumerate(closures) if not a_v >> m & 1)
         clauses.append(HornClause(universe, m, v))
     result = HornFormula(universe, clauses)
-    got = model_bitset(result)
-    want = 0
-    for m in closed:
-        want |= 1 << m
-    if got != want:
+    if model_bitset(result) != closed:
         raise AssertionError("Horn envelope construction produced the wrong model set")
     return result
 
@@ -374,7 +367,7 @@ def _horn_inner_for_entailments(universe, mem_interp, eq_interp, **session_kwarg
 def learn_horn_from_entailments(universe: VariableUniverse, mem_entail, eq_entail,
                                 **session_kwargs) -> HornFormula:
     """Learn a definite Horn formula from entailment oracles."""
-    composed = compose(horn_entailment_reduction(universe), _horn_inner_for_entailments)
+    composed = compose(horn_entailment_reduction(), _horn_inner_for_entailments)
     return composed(universe, mem_entail, eq_entail, **session_kwargs)
 
 
@@ -425,13 +418,13 @@ def qh_ce_to_mvd(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> MvdClause:
     universe = clause.universe
     v, w = sorted(clause.consequents)
     x = clause.antecedent
-    grow_against_hypothesis = entails(hypothesis, clause)
+    models = model_bitset(hypothesis)
+    grow_against_hypothesis = models & violator_bitset(clause) == 0
     y, z = 1 << v, 1 << w
     for cand in bit_indices(universe.full_mask & ~(x | y | z)):
         if grow_against_hypothesis:
-            extend_left = entails(
-                hypothesis, SplitClause(universe, x, y | (1 << cand), z)
-            )
+            grown = SplitClause(universe, x, y | (1 << cand), z)
+            extend_left = models & violator_bitset(grown) == 0
         else:
             # target side: the pairs within the current sides are already
             # entailed, so only the new variable's pairs need queries
@@ -449,38 +442,35 @@ def qh_ce_to_mvd(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> MvdClause:
 def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> Interpretation:
     """Assignment counterexample matching a two-literal counterexample.
 
-    Enumerates assignments that make the clause's antecedent true and all
-    its consequents false (every such assignment breaks the clause).  When
-    the hypothesis entails the clause the first one that is a target model
-    is returned, spending queries through :func:`qh_f_mem`; otherwise the
-    first hypothesis model, with no queries.  Existence is guaranteed while
-    the clause really separates target and hypothesis.
+    Enumerates, in the canonical order, the assignments that make the
+    clause's antecedent true and all its consequents false (every such
+    assignment breaks the clause).  When the hypothesis entails the clause
+    the first one that is a target model is returned, spending queries
+    through :func:`qh_f_mem`; otherwise the first hypothesis model, with no
+    queries.  Existence is guaranteed while the clause really separates
+    target and hypothesis.
     """
     universe = clause.universe
-    need = clause.antecedent
-    avoid = clause.consequent_mask
-    target_must_satisfy = entails(hypothesis, clause)
-    for interp in enum_interpretations(universe):
-        if interp.mask & need != need or interp.mask & avoid:
-            continue
-        if target_must_satisfy:
-            if qh_f_mem(interp, mem_quasi):
-                return interp
-        else:
-            if satisfies(interp, hypothesis):
-                return interp
+    violators = violator_bitset(clause)
+    if not entails(hypothesis, clause):
+        mask = canonical_select(model_bitset(hypothesis) & violators, universe, 0)
+        return Interpretation(universe, mask)
+    for rank in range(violators.bit_count()):
+        interp = Interpretation(universe, canonical_select(violators, universe, rank))
+        if qh_f_mem(interp, mem_quasi):
+            return interp
     raise OracleContractError(
         "no assignment realizes the clause counterexample; the clause does "
         "not separate target and hypothesis"
     )
 
 
-def quasi2_reduction(universe: VariableUniverse) -> ReductionPair:
+def quasi2_reduction() -> ReductionPair:
     return ReductionPair(f_mem=qh_f_mem, f_eq=qh_interp_ce_substitute)
 
 
 def learn_mvdf_from_quasi2(universe: VariableUniverse, mem_quasi, eq_quasi,
                            **session_kwargs) -> MvdFormula:
     """Learn a full-cover implication formula from two-literal-clause oracles."""
-    composed = compose(quasi2_reduction(universe), learn)
+    composed = compose(quasi2_reduction(), learn)
     return composed(universe, mem_quasi, eq_quasi, **session_kwargs)

@@ -35,10 +35,12 @@ from mvdlearn import (
 )
 from mvdlearn.core import (
     canonical_select,
+    down_closure,
     enum_masks,
     model_bitset,
     popcount,
     satisfies_clause,
+    violator_bitset,
 )
 
 from conftest import (
@@ -313,6 +315,50 @@ def test_canonical_select_matches_the_reference_scan():
                 assert canonical_select(bits, u, rank) == _scan_select(bits, n, rank)
         assert canonical_select(0, u, 0) is None
         assert canonical_select((1 << size) - 1, u, size - 1) == (1 << n) - 1
+
+
+def test_down_closure_matches_the_set_definition():
+    rng = random.Random(2007)
+    for n in range(1, 7):
+        u = numbered_universe(n)
+        size = 1 << n
+        sets = [0, 1, 1 << (size - 1)] + [rng.getrandbits(size) >> rng.randrange(size)
+                                          for _ in range(30)]
+        for bits in sets:
+            marked = [m for m in range(size) if bits >> m & 1]
+            expected = 0
+            for m in range(size):
+                if any(s & m == m for s in marked):
+                    expected |= 1 << m
+            assert down_closure(bits, u) == expected
+
+
+def test_violator_bitset_matches_the_direct_definition_for_every_kind():
+    for n in range(1, 5):
+        u = numbered_universe(n)
+        clauses = [HornClause(u, u.full_mask, None)]
+        for x in range(1 << n):
+            outside = [v for v in range(n) if not x >> v & 1]
+            clauses += [HornClause(u, x, v) for v in outside]
+            clauses += [
+                QuasiHorn2Clause(u, x, frozenset(consequents))
+                for size in range(3)
+                for consequents in itertools.combinations(outside, size)
+            ]
+        # every variable in X, Y, Z or none of them
+        for sides in itertools.product(range(4), repeat=n):
+            x, y, z = (
+                sum(1 << v for v in range(n) if sides[v] == side) for side in range(3)
+            )
+            clauses.append(SplitClause(u, x, y, z))
+            if x | y | z == u.full_mask:
+                clauses.append(MvdClause(u, x, y, z))
+        for clause in clauses:
+            expected = 0
+            for m in range(1 << n):
+                if not _direct_clause_satisfied(set(u.names_of(m)), clause):
+                    expected |= 1 << m
+            assert violator_bitset(clause) == expected, clause
 
 
 def test_models_with_nonmodel_intersection_cover_the_universe():

@@ -429,7 +429,7 @@ def _finished_session_universe(kind):
     else:
         teacher = EntailmentTeacher(target, "quasi2", "random", 3)
         mem, eq = translate_oracles(
-            quasi2_reduction(universe), teacher.membership_answer, teacher.equivalence_answer
+            quasi2_reduction(), teacher.membership_answer, teacher.equivalence_answer
         )
     LearnerSession(universe, mem, eq).run()
     assert universe._violator_cache

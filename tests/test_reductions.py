@@ -41,8 +41,10 @@ from mvdlearn.oracles import (
     RelationTeacher,
     enumerate_quasi2_clauses,
 )
+from mvdlearn.core import bit_indices, enum_masks, model_bitset
 from mvdlearn.reductions import (
     ReductionPair,
+    _unit_closure,
     compose,
     horn_envelope,
     horn_f_eq,
@@ -293,6 +295,87 @@ def test_horn_f_eq_random_validity():
     assert checked > 40
 
 
+def _recorded_entailment_run(f_eq, clause, hypothesis, target):
+    """(result or error text, clauses asked) of one counterexample
+    translation; the membership oracle records every clause handed to it."""
+    asked = []
+
+    def mem(query):
+        asked.append(query)
+        return entails(target, query)
+
+    try:
+        result = f_eq(clause, hypothesis, mem)
+    except OracleContractError as exc:
+        result = f"error: {exc}"
+    return result, asked
+
+
+def _reference_horn_f_eq(clause, hypothesis, mem_entail):
+    """The translation that decided every local unit step with ``entails``
+    and scanned all assignments for its fallback, kept as the reference."""
+    universe = clause.universe
+    if entails(hypothesis, clause):
+        closure = _unit_closure(
+            clause.antecedent,
+            universe,
+            lambda mask, v: mem_entail(HornClause(universe, mask, v)),
+        )
+        return Interpretation(universe, closure)
+    closure = _unit_closure(
+        clause.antecedent,
+        universe,
+        lambda mask, v: entails(hypothesis, HornClause(universe, mask, v)),
+    )
+    candidate = Interpretation(universe, closure)
+    if satisfies(candidate, hypothesis):
+        return candidate
+    need = clause.antecedent
+    avoid = 0 if clause.consequent is None else 1 << clause.consequent
+    for mask in enum_masks(universe.n):
+        interp = Interpretation(universe, mask)
+        if interp.mask & need != need or interp.mask & avoid:
+            continue
+        if satisfies(interp, hypothesis):
+            return interp
+    raise OracleContractError(
+        "no hypothesis model realizes the clause counterexample; the clause "
+        "does not separate target and hypothesis"
+    )
+
+
+def test_horn_f_eq_matches_the_reference_scan():
+    rng = random.Random(606)
+    from mvdlearn.oracles import enumerate_horn_clauses
+
+    paths = set()
+    for _ in range(300):
+        n = rng.randrange(2, 7)
+        u = numbered_universe(n)
+        target = random_definite_horn(u, rng)
+        hypo = random_target(u, rng, max_clauses=3)
+        separating = [
+            c
+            for c in enumerate_horn_clauses(u)
+            if entails(target, c) != entails(hypo, c)
+        ]
+        if not separating:
+            continue
+        clause = rng.choice(separating)
+        got = _recorded_entailment_run(horn_f_eq, clause, hypo, target)
+        expected = _recorded_entailment_run(_reference_horn_f_eq, clause, hypo, target)
+        assert got == expected
+        if entails(hypo, clause):
+            paths.add("target closure")
+        else:
+            local = _unit_closure(
+                clause.antecedent, u,
+                lambda mask, v: entails(hypo, HornClause(u, mask, v)),
+            )
+            paths.add("local closure" if got[0].mask == local else "first model")
+    assert paths == {"target closure", "local closure", "first model"}
+
+
 def test_mvdf_to_horn_reference_example():
     u = numbered_universe(6)
     f = MvdFormula(
@@ -343,6 +426,73 @@ def test_horn_envelope_properties():
         # and is equivalent whenever the input already was Horn-shaped
         horn = random_definite_horn(u, rng)
         assert equivalent(horn_envelope(horn_formula_to_mvd(horn)), horn)
+
+
+def _reference_horn_envelope(formula):
+    """The envelope that closed the model set under pairwise intersection
+    with Python sets, kept as the reference."""
+    universe = formula.universe
+    models = model_bitset(formula)
+    closed = {m for m in range(1 << universe.n) if models >> m & 1}
+    frontier = sorted(closed)
+    while frontier:
+        fresh = set()
+        base = sorted(closed)
+        for a in frontier:
+            for b in base:
+                inter = a & b
+                if inter not in closed and inter not in fresh:
+                    fresh.add(inter)
+        closed |= fresh
+        frontier = sorted(fresh)
+    clauses = []
+    for m in range(1 << universe.n):
+        if m in closed:
+            continue
+        if m == universe.full_mask:
+            clauses.append(HornClause(universe, m, None))
+            continue
+        supersets = [s for s in closed if s & m == m]
+        if supersets:
+            hull = universe.full_mask
+            for s in supersets:
+                hull &= s
+            extra = hull & ~m
+        else:
+            extra = universe.full_mask & ~m
+        v = next(bit_indices(extra))
+        clauses.append(HornClause(universe, m, v))
+    return HornFormula(universe, clauses)
+
+
+def test_horn_envelope_matches_the_reference_closure():
+    rng = random.Random(1996)
+    kinds = set()
+    for trial in range(240):
+        n = 2 + trial % 6
+        u = numbered_universe(n)
+        if trial % 3 == 0:
+            formula = horn_formula_to_mvd(random_definite_horn(u, rng))
+        else:
+            formula = random_target(u, rng, max_clauses=4)
+        models = model_bitset(formula)
+        kinds.add(
+            "no models" if not models
+            else "V a model" if models >> u.full_mask & 1
+            else "V not a model"
+        )
+        assert horn_envelope(formula).clauses == _reference_horn_envelope(formula).clauses
+    for n in range(1, 5):
+        # every assignment excluded: no variable can be false, nor all true
+        u = numbered_universe(n)
+        unsatisfiable = HornFormula(
+            u, [HornClause(u, 0, v) for v in range(n)] + [HornClause(u, u.full_mask, None)]
+        )
+        assert model_bitset(unsatisfiable) == 0
+        got = horn_envelope(unsatisfiable).clauses
+        assert got == _reference_horn_envelope(unsatisfiable).clauses
+        assert len(got) == 1 << n
+    assert kinds >= {"V a model", "V not a model"}
 
 
 def test_horn_i_via_mvdf_single_clause_target():
@@ -502,6 +652,57 @@ def test_qh_interp_ce_substitute_random_validity():
         assert satisfies(got, target) != satisfies(got, hypo)
         checked += 1
     assert checked > 40
+
+
+def _reference_qh_interp_ce_substitute(clause, hypothesis, mem_quasi):
+    """The substitute that scanned all assignments in the canonical order,
+    kept as the reference."""
+    universe = clause.universe
+    need = clause.antecedent
+    avoid = clause.consequent_mask
+    target_must_satisfy = entails(hypothesis, clause)
+    for mask in enum_masks(universe.n):
+        interp = Interpretation(universe, mask)
+        if interp.mask & need != need or interp.mask & avoid:
+            continue
+        if target_must_satisfy:
+            if qh_f_mem(interp, mem_quasi):
+                return interp
+        else:
+            if satisfies(interp, hypothesis):
+                return interp
+    raise OracleContractError(
+        "no assignment realizes the clause counterexample; the clause does "
+        "not separate target and hypothesis"
+    )
+
+
+def test_qh_interp_ce_substitute_matches_the_reference_scan():
+    rng = random.Random(2017)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randrange(2, 7)
+        u = numbered_universe(n)
+        target = random_target(u, rng, max_clauses=3)
+        hypo = random_target(u, rng, max_clauses=3)
+        clauses = list(enumerate_quasi2_clauses(u))
+        separating = [c for c in clauses if entails(target, c) != entails(hypo, c)]
+        # a clause both entail exhausts the walk and ends in the error
+        both = [c for c in clauses if entails(target, c) and entails(hypo, c)]
+        pool = separating if separating and rng.random() < 0.8 else both
+        if not pool:
+            continue
+        clause = rng.choice(pool)
+        got = _recorded_entailment_run(qh_interp_ce_substitute, clause, hypo, target)
+        expected = _recorded_entailment_run(
+            _reference_qh_interp_ce_substitute, clause, hypo, target
+        )
+        assert got == expected
+        outcomes.add(
+            "error" if isinstance(got[0], str)
+            else "target model" if got[1] else "hypothesis model"
+        )
+    assert outcomes == {"error", "target model", "hypothesis model"}
 
 
 # ---------------------------------------------------------------------------
