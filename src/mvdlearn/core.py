@@ -140,8 +140,11 @@ class VariableUniverse:
 
     def superset_pattern(self, mask: int) -> int:
         """Bitset marking every assignment whose true-set contains ``mask``."""
-        pat = (1 << (1 << self.n)) - 1
-        for bit in bit_indices(mask):
+        if not mask:
+            return (1 << (1 << self.n)) - 1
+        bits = bit_indices(mask)
+        pat = self.var_pattern(next(bits))
+        for bit in bits:
             pat &= self.var_pattern(bit)
         return pat
 
@@ -448,7 +451,7 @@ class _BaseFormula:
     def __init__(self, universe: VariableUniverse, clauses: Iterable = ()):
         clauses = tuple(clauses)
         for clause in clauses:
-            if clause.universe != universe:
+            if clause.universe is not universe and clause.universe != universe:
                 raise UniverseMismatchError("clause universe differs from formula universe")
         # order-preserving dedup under exact (oriented) equality
         self.universe = universe
@@ -585,13 +588,21 @@ def _cache_key(clause: Clause) -> tuple:
 
 
 def violator_bitset(clause: Clause) -> int:
-    """Bitset over all 2**n masks marking the assignments violating ``clause``."""
-    universe = clause.universe
-    cache = universe._violator_cache
+    """Bitset over all 2**n masks marking the assignments violating ``clause``.
+
+    The result is cached on the clause's universe, keyed by :func:`_cache_key`.
+    """
+    cache = clause.universe._violator_cache
     key = _cache_key(clause)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
+    bits = cache.get(key)
+    if bits is None:
+        bits = cache[key] = _violators(clause)
+    return bits
+
+
+def _violators(clause: Clause) -> int:
+    """The violator bitset of ``clause``, computed without the cache."""
+    universe = clause.universe
     if isinstance(clause, (MvdClause, SplitClause)):
         y, z = clause.y_mask, clause.z_mask
         if y and z:
@@ -612,18 +623,21 @@ def violator_bitset(clause: Clause) -> int:
         bits = universe.superset_pattern(clause.antecedent)
         for v in bit_indices(clause.consequent_mask):
             bits &= ~universe.var_pattern(v)
-    cache[key] = bits
     return bits
 
 
 def model_bitset(formula, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Bitset over all 2**n masks marking the models of ``formula``."""
+    """Bitset over all 2**n masks marking the models of ``formula``.
+
+    The complement of the union of the clauses' violator sets: one OR per
+    clause on non-negative ints, then a single XOR with the full set.
+    """
     universe = formula.universe
     require_enumerable(universe, cap)
-    bits = (1 << (1 << universe.n)) - 1
+    violated = 0
     for clause in formula.clauses:
-        bits &= ~violator_bitset(clause)
-    return bits
+        violated |= violator_bitset(clause)
+    return ((1 << (1 << universe.n)) - 1) ^ violated
 
 
 def entails(formula, clause: Clause, cap: int = DEFAULT_ENUM_CAP) -> bool:

@@ -36,7 +36,6 @@ from .core import (
     bit_indices,
     false_clause,
     intersect,
-    orientation_class_count,
     popcount,
     satisfies,
     violates,
@@ -224,6 +223,24 @@ def rebuild_hypothesis(h0: MvdFormula, negatives, positives) -> MvdFormula:
     return MvdFormula(h0.universe, clauses)
 
 
+def _block_broken(false_set: int, parts) -> bool:
+    """Whether an assignment covering a block's antecedent violates the block.
+
+    ``false_set`` holds the assignment's false variables, a subset of the
+    stored negative's false set ``F``; ``parts`` are the block's Y-parts,
+    which partition ``F``, each standing for the clause ``x -> y | F\\y``.
+    With two or more parts every clause is proper, and some clause breaks
+    exactly when the false set meets two parts.  A single part is the
+    one-sided clause ``x -> F | -``, broken by exactly one false variable.
+    """
+    if len(parts) == 1:
+        return false_set != 0 and false_set & (false_set - 1) == 0
+    for y in parts:
+        if false_set & y:
+            return false_set & ~y != 0
+    return False
+
+
 class LearnerSession:
     """One run of the learner against a fixed pair of oracles.
 
@@ -232,6 +249,14 @@ class LearnerSession:
     receives the session and an :class:`IterationEvent` after every
     iteration, with the hypothesis already rebuilt; the test harness uses
     this hook to assert the loop invariants.
+
+    Internally the session works on masks.  Each stored negative's block is
+    kept as the list of its Y-parts (the clause of part ``y`` is
+    ``true(I) -> y | false(I)\\y``), cached by the negative's mask together
+    with the number of positives already folded in.  Positives are only
+    ever appended, so a rebuild folds in just the new ones, in the order of
+    :func:`build_clauses`; that function and the other module-level helpers
+    remain the plain definitions this session agrees with.
     """
 
     def __init__(
@@ -267,6 +292,15 @@ class LearnerSession:
         self.max_negatives = 0
         self._max_hypothesis_classes = 1
 
+        # negative mask -> [Y-parts, number of positives folded in]
+        self._block_cache: dict[int, list] = {}
+        self._clauses: dict[tuple[int, int, int], MvdClause] = {}
+        # the hypothesis as masks: assignments h0 excludes, (x, Y-parts) per block
+        self._h0_violators: frozenset = frozenset()
+        self._h0_keys: frozenset = frozenset()
+        self._hypothesis_blocks: list[tuple[int, tuple[int, ...]]] = []
+        self._hypothesis_classes = 0
+
     # -- oracles -------------------------------------------------------------
 
     def mem(self, interp: Interpretation) -> bool:
@@ -278,16 +312,82 @@ class LearnerSession:
         self.membership_queries += 1
         return answer
 
+    def _mem_mask(self, mask: int) -> bool:
+        cached = self._mem_cache.get(mask)
+        if cached is not None:
+            return cached
+        return self.mem(Interpretation(self.universe, mask))
+
     def _equivalence(self) -> Optional[Interpretation]:
         self.equivalence_queries += 1
         return self._eq_raw(self.hypothesis)
+
+    # -- masks ---------------------------------------------------------------
+
+    def _block(self, x: int, positives) -> list[int]:
+        """Y-parts of the block of the negative with mask ``x`` under ``positives``.
+
+        ``positives`` must extend the list the cached entry was folded
+        with; only its new entries are folded in.
+        """
+        entry = self._block_cache.get(x)
+        if entry is None:
+            entry = self._block_cache[x] = [
+                [1 << v for v in bit_indices(self.universe.full_mask ^ x)], 0
+            ]
+        parts, done = entry
+        if done < len(positives):
+            full = self.universe.full_mask
+            for pos in positives[done:]:
+                p = pos.mask
+                if p & x != x:
+                    continue
+                false_set = full ^ p
+                broken = [i for i, y in enumerate(parts) if false_set & y]
+                # one met part holds the whole false set and breaks nothing
+                if len(broken) > 1:
+                    merged = 0
+                    for i in broken:
+                        merged |= parts[i]
+                    parts[broken[0]] = merged
+                    for i in reversed(broken[1:]):
+                        del parts[i]
+            entry[1] = len(positives)
+        return parts
+
+    def _clause(self, x: int, y: int, z: int) -> MvdClause:
+        key = (x, y, z)
+        clause = self._clauses.get(key)
+        if clause is None:
+            clause = self._clauses[key] = MvdClause(self.universe, x, y, z)
+        return clause
+
+    def _satisfies(self, mask: int) -> bool:
+        """Whether ``mask`` is a model of the current hypothesis."""
+        if mask in self._h0_violators:
+            return False
+        full = self.universe.full_mask
+        for x, parts in self._hypothesis_blocks:
+            if mask & x == x and _block_broken(full ^ mask, parts):
+                return False
+        return True
+
+    def _good_candidate(self, a: int, b: int) -> bool:
+        """:func:`good_candidate` on masks, against the current hypothesis."""
+        inter = a & b
+        return inter != a and self._satisfies(inter) and not self._mem_mask(inter)
 
     # -- bookkeeping ----------------------------------------------------------
 
     @property
     def blocks(self) -> list[list[MvdClause]]:
         """The clause block of every stored negative, in store order."""
-        return [build_clauses(neg, self.positives) for neg in self.negatives]
+        full = self.universe.full_mask
+        return [
+            [self._clause(neg.mask, y, full ^ neg.mask ^ y)
+             for y in self._block(neg.mask, self.positives)]
+            for neg in self.negatives
+        ]
 
     def potential(self) -> Optional[int]:
         """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
@@ -316,7 +416,7 @@ class LearnerSession:
             removed=len(removed or ()),
             positives=len(self.positives),
             negatives=len(self.negatives),
-            hypothesis_size=orientation_class_count(self.hypothesis),
+            hypothesis_size=self._hypothesis_classes,
             membership_queries=self.membership_queries,
             equivalence_queries=self.equivalence_queries,
             potential=self.potential(),
@@ -340,6 +440,11 @@ class LearnerSession:
     def run(self) -> MvdFormula:
         self.h0 = construct_h0(self.universe, self.mem)
         self.hypothesis = self.h0
+        # every clause h0 can hold (`* -> F` and `V\{v} -> v`) is violated
+        # by exactly one assignment: its antecedent
+        self._h0_violators = frozenset(c.x_mask for c in self.h0.clauses)
+        self._h0_keys = frozenset(c.orientation_key() for c in self.h0.clauses)
+        self._hypothesis_classes = len(self._h0_keys)
         while True:
             counterexample = self._equivalence()
             if counterexample is None:
@@ -352,14 +457,14 @@ class LearnerSession:
                 )
             self._handle(counterexample)
             self._max_hypothesis_classes = max(
-                self._max_hypothesis_classes, orientation_class_count(self.hypothesis)
+                self._max_hypothesis_classes, self._hypothesis_classes
             )
 
     def _handle(self, raw: Interpretation) -> None:
-        if raw.universe != self.universe:
+        if raw.universe is not self.universe and raw.universe != self.universe:
             raise OracleContractError("counterexample over the wrong universe")
         is_model = self.mem(raw)
-        sat = satisfies(raw, self.hypothesis)
+        sat = self._satisfies(raw.mask)
         if is_model == sat:
             raise OracleContractError(
                 f"counterexample {raw.to_bits()} is not in the symmetric "
@@ -372,7 +477,7 @@ class LearnerSession:
             self._record("positive", raw, refined=None)
             return
 
-        refined = refine_counterexample(raw, self.negatives, self.hypothesis, self.mem)
+        refined = self._refine(raw)
         if popcount(refined.false_mask) < 2:
             raise OracleContractError(
                 "refined negative with fewer than two false variables; "
@@ -380,7 +485,7 @@ class LearnerSession:
             )
         slot = None
         for i, neg in enumerate(self.negatives):
-            if good_candidate(neg, refined, self.hypothesis, self.mem):
+            if self._good_candidate(neg.mask, refined.mask):
                 slot = i
                 break
         if slot is None:
@@ -390,9 +495,7 @@ class LearnerSession:
             self._record("append", raw, refined)
             return
 
-        self.positives = update_positive_examples(
-            refined, self.positives, self.negatives, self.mem
-        )
+        self.positives = self._harvest(refined.mask)
         replaced_old = self.negatives[slot]
         self.negatives[slot] = refined
         self.replacements[slot] += 1
@@ -400,12 +503,15 @@ class LearnerSession:
             raise BoundViolationError(
                 f"negative slot {slot} replaced more than {self.universe.n} times"
             )
-        block = build_clauses(refined, self.positives)
+        x = refined.mask
+        parts = self._block(x, self.positives)
+        full = self.universe.full_mask
         removed = []
         for i in range(len(self.negatives) - 1, -1, -1):
             if i == slot:
                 continue
-            if not satisfies(self.negatives[i], block):
+            mask = self.negatives[i].mask
+            if mask & x == x and _block_broken(full ^ mask, parts):
                 removed.append((i, self.negatives[i]))
                 del self.negatives[i]
                 del self.replacements[i]
@@ -417,8 +523,63 @@ class LearnerSession:
             replaced_index=slot, replaced_old=replaced_old, removed=removed,
         )
 
+    def _refine(self, raw: Interpretation) -> Interpretation:
+        """:func:`refine_counterexample` on masks."""
+        current = raw.mask
+        negatives = [neg.mask for neg in self.negatives]
+        for _ in range(self.universe.n + 1):
+            for neg in negatives:
+                if self._good_candidate(current, neg):
+                    current &= neg
+                    break
+            else:
+                return raw if current == raw.mask else Interpretation(self.universe, current)
+        raise BoundViolationError("counterexample refinement exceeded the universe size")
+
+    def _harvest(self, kernel: int) -> list[Interpretation]:
+        """:func:`update_positive_examples` on masks."""
+        result = list(self.positives)
+        negatives = [neg.mask for neg in self.negatives]
+        full = self.universe.full_mask
+        for _ in range(self.universe.n + 1):
+            parts = self._block(kernel, result)
+            found = None
+            for i, a in enumerate(negatives):
+                for b in negatives[i + 1:]:
+                    inter = a & b
+                    if (inter & kernel == kernel and _block_broken(full ^ inter, parts)
+                            and self._mem_mask(inter)):
+                        found = inter
+                        break
+                if found is not None:
+                    break
+            if found is None:
+                return result
+            result.append(Interpretation(self.universe, found))
+        raise BoundViolationError("positive-example harvesting exceeded the universe size")
+
     def _rebuild(self) -> None:
-        self.hypothesis = rebuild_hypothesis(self.h0, self.negatives, self.positives)
+        """Fold the new positives into every block, then build the hypothesis."""
+        full = self.universe.full_mask
+        clauses = list(self.h0.clauses)
+        keys = set(self._h0_keys)
+        blocks = []
+        cache = {}
+        for neg in self.negatives:
+            x = neg.mask
+            parts = tuple(self._block(x, self.positives))
+            cache[x] = self._block_cache[x]
+            blocks.append((x, parts))
+            false_set = full ^ x
+            for y in parts:
+                z = false_set ^ y
+                clauses.append(self._clause(x, y, z))
+                keys.add((x, y, z) if y < z else (x, z, y))
+        # blocks of dropped negatives are not kept
+        self._block_cache = cache
+        self._hypothesis_blocks = blocks
+        self._hypothesis_classes = len(keys)
+        self.hypothesis = MvdFormula(self.universe, clauses)
 
 
 def learn(

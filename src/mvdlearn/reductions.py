@@ -38,6 +38,7 @@ from .core import (
     QuasiHorn2Clause,
     SplitClause,
     VariableUniverse,
+    _violators,
     bit_indices,
     canonical_select,
     down_closure,
@@ -325,7 +326,12 @@ def horn_envelope(formula) -> HornFormula:
         v = next(v for v, a_v in enumerate(closures) if not a_v >> m & 1)
         clauses.append(HornClause(universe, m, v))
     result = HornFormula(universe, clauses)
-    if model_bitset(result) != closed:
+    # checked on uncached violator sets: the envelope's clauses are seldom
+    # asked about again, and caching one 2**n-bit set per clause is costly
+    violated = 0
+    for clause in result.clauses:
+        violated |= _violators(clause)
+    if ((top << 1) - 1) ^ violated != closed:
         raise AssertionError("Horn envelope construction produced the wrong model set")
     return result
 

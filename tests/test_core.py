@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -333,32 +334,61 @@ def test_down_closure_matches_the_set_definition():
             assert down_closure(bits, u) == expected
 
 
+def _every_clause(u):
+    """Every clause of every kind over ``u``."""
+    n = u.n
+    clauses = [HornClause(u, u.full_mask, None)]
+    for x in range(1 << n):
+        outside = [v for v in range(n) if not x >> v & 1]
+        clauses += [HornClause(u, x, v) for v in outside]
+        clauses += [
+            QuasiHorn2Clause(u, x, frozenset(consequents))
+            for size in range(3)
+            for consequents in itertools.combinations(outside, size)
+        ]
+    # every variable in X, Y, Z or none of them
+    for sides in itertools.product(range(4), repeat=n):
+        x, y, z = (
+            sum(1 << v for v in range(n) if sides[v] == side) for side in range(3)
+        )
+        clauses.append(SplitClause(u, x, y, z))
+        if x | y | z == u.full_mask:
+            clauses.append(MvdClause(u, x, y, z))
+    return clauses
+
+
 def test_violator_bitset_matches_the_direct_definition_for_every_kind():
     for n in range(1, 5):
         u = numbered_universe(n)
-        clauses = [HornClause(u, u.full_mask, None)]
-        for x in range(1 << n):
-            outside = [v for v in range(n) if not x >> v & 1]
-            clauses += [HornClause(u, x, v) for v in outside]
-            clauses += [
-                QuasiHorn2Clause(u, x, frozenset(consequents))
-                for size in range(3)
-                for consequents in itertools.combinations(outside, size)
-            ]
-        # every variable in X, Y, Z or none of them
-        for sides in itertools.product(range(4), repeat=n):
-            x, y, z = (
-                sum(1 << v for v in range(n) if sides[v] == side) for side in range(3)
-            )
-            clauses.append(SplitClause(u, x, y, z))
-            if x | y | z == u.full_mask:
-                clauses.append(MvdClause(u, x, y, z))
+        clauses = _every_clause(u)
         for clause in clauses:
             expected = 0
             for m in range(1 << n):
                 if not _direct_clause_satisfied(set(u.names_of(m)), clause):
                     expected |= 1 << m
             assert violator_bitset(clause) == expected, clause
+
+
+def test_model_bitset_and_superset_pattern_match_the_plain_definitions():
+    # plain definitions: a model satisfies every clause, assignment by
+    # assignment; a superset pattern marks the masks containing the mask
+    rng = random.Random(1024)
+    for n in range(1, 7):
+        u = numbered_universe(n)
+        interps = [Interpretation(u, m) for m in range(1 << n)]
+        for mask in range(1 << n):  # the empty mask included
+            expected = sum(1 << m for m in range(1 << n) if m & mask == mask)
+            assert u.superset_pattern(mask) == expected
+        clauses = _every_clause(u)
+        formulas = [(clause,) for clause in clauses] + [
+            tuple(rng.choice(clauses) for _ in range(size))
+            for size in range(9)
+            for _ in range(10)
+        ]
+        for formula in formulas:
+            expected = sum(1 << i.mask for i in interps if satisfies(i, formula))
+            got = model_bitset(types.SimpleNamespace(universe=u, clauses=formula))
+            assert got == expected, formula
 
 
 def test_models_with_nonmodel_intersection_cover_the_universe():

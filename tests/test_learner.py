@@ -26,7 +26,13 @@ from mvdlearn import (
     satisfies,
     update_positive_examples,
 )
-from mvdlearn.learner import LearnerSession, TheoreticalBounds
+from mvdlearn.core import orientation_class_count, popcount
+from mvdlearn.learner import (
+    IterationEvent,
+    LearnerSession,
+    TheoreticalBounds,
+    TraceRecord,
+)
 from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
@@ -370,6 +376,339 @@ def test_random_runs_with_random_counterexamples():
             observer=observer,
         )
         assert find_counterexample(target, result) is None
+
+
+# ---------------------------------------------------------------------------
+# the mask-level session against the reference session
+
+
+class _ReferenceSession:
+    """The learner session as it was before it worked on masks: every block
+    rebuilt from scratch by :func:`build_clauses` after each iteration, every
+    test through the public helpers.  Kept as the reference for
+    :class:`LearnerSession`.
+
+    The session keeps the stored examples, the evolving hypothesis, query
+    counters and a per-iteration trace.  An observer callable, when given,
+    receives the session and an :class:`IterationEvent` after every
+    iteration, with the hypothesis already rebuilt; the test harness uses
+    this hook to assert the loop invariants.
+    """
+
+    def __init__(
+        self,
+        universe,
+        mem,
+        eq,
+        *,
+        bounds=None,
+        observer=None,
+        iteration_limit=None,
+    ):
+        self.universe = universe
+        self._mem_raw = mem
+        self._eq_raw = eq
+        self.bounds = bounds
+        self.observer = observer
+        self.iteration_limit = iteration_limit
+
+        self._mem_cache = {}
+        self.membership_queries = 0
+        self.equivalence_queries = 0
+
+        self.positives = []
+        self.negatives = []
+        self.replacements: list[int] = []  # per live negative slot
+        self.h0 = None
+        self.hypothesis = None
+        self.trace = []
+        self.iteration = 0
+        self.event_counts = {"positive": 0, "append": 0, "replace": 0}
+        self.removal_count = 0
+        self.max_negatives = 0
+        self._max_hypothesis_classes = 1
+
+    # -- oracles -------------------------------------------------------------
+
+    def mem(self, interp):
+        cached = self._mem_cache.get(interp.mask)
+        if cached is not None:
+            return cached
+        answer = bool(self._mem_raw(interp))
+        self._mem_cache[interp.mask] = answer
+        self.membership_queries += 1
+        return answer
+
+    def _equivalence(self):
+        self.equivalence_queries += 1
+        return self._eq_raw(self.hypothesis)
+
+    # -- bookkeeping ----------------------------------------------------------
+
+    @property
+    def blocks(self):
+        """The clause block of every stored negative, in store order."""
+        return [build_clauses(neg, self.positives) for neg in self.negatives]
+
+    def potential(self):
+        """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
+        if self.bounds is None:
+            return None
+        spent = sum(popcount(neg.false_mask) for neg in self.negatives)
+        return len(self.negatives) + (self.bounds.limit - spent)
+
+    def _iteration_cap(self):
+        if self.iteration_limit is not None:
+            return self.iteration_limit
+        if self.bounds is not None:
+            n_bound = self.bounds.limit
+        else:
+            n_bound = self.universe.n * self.universe.n * self._max_hypothesis_classes
+        return n_bound * n_bound + n_bound
+
+    def _record(self, event, raw, refined, replaced_index=None,
+                replaced_old=None, removed=None):
+        self.event_counts[event] += 1
+        self.max_negatives = max(self.max_negatives, len(self.negatives))
+        record = TraceRecord(
+            iteration=self.iteration,
+            event=event,
+            counterexample=raw.to_bits(),
+            removed=len(removed or ()),
+            positives=len(self.positives),
+            negatives=len(self.negatives),
+            hypothesis_size=orientation_class_count(self.hypothesis),
+            membership_queries=self.membership_queries,
+            equivalence_queries=self.equivalence_queries,
+            potential=self.potential(),
+        )
+        self.trace.append(record)
+        if self.observer is not None:
+            self.observer(
+                self,
+                IterationEvent(
+                    record=record,
+                    raw=raw,
+                    refined=refined,
+                    replaced_index=replaced_index,
+                    replaced_old=replaced_old,
+                    removed=list(removed or ()),
+                ),
+            )
+
+    # -- main loop -------------------------------------------------------------
+
+    def run(self):
+        self.h0 = construct_h0(self.universe, self.mem)
+        self.hypothesis = self.h0
+        while True:
+            counterexample = self._equivalence()
+            if counterexample is None:
+                return self.hypothesis
+            self.iteration += 1
+            if self.iteration > self._iteration_cap():
+                raise BoundViolationError(
+                    f"iteration {self.iteration} exceeds the run cap; "
+                    "the oracles are not consistent with any fixed target"
+                )
+            self._handle(counterexample)
+            self._max_hypothesis_classes = max(
+                self._max_hypothesis_classes, orientation_class_count(self.hypothesis)
+            )
+
+    def _handle(self, raw):
+        if raw.universe != self.universe:
+            raise OracleContractError("counterexample over the wrong universe")
+        is_model = self.mem(raw)
+        sat = satisfies(raw, self.hypothesis)
+        if is_model == sat:
+            raise OracleContractError(
+                f"counterexample {raw.to_bits()} is not in the symmetric "
+                "difference of target and hypothesis"
+            )
+        if not sat:
+            # positive counterexample: a target model the hypothesis excludes
+            self.positives.append(raw)
+            self._rebuild()
+            self._record("positive", raw, refined=None)
+            return
+
+        refined = refine_counterexample(raw, self.negatives, self.hypothesis, self.mem)
+        if popcount(refined.false_mask) < 2:
+            raise OracleContractError(
+                "refined negative with fewer than two false variables; "
+                "inconsistent with the baseline hypothesis"
+            )
+        slot = None
+        for i, neg in enumerate(self.negatives):
+            if good_candidate(neg, refined, self.hypothesis, self.mem):
+                slot = i
+                break
+        if slot is None:
+            self.negatives.append(refined)
+            self.replacements.append(0)
+            self._rebuild()
+            self._record("append", raw, refined)
+            return
+
+        self.positives = update_positive_examples(
+            refined, self.positives, self.negatives, self.mem
+        )
+        replaced_old = self.negatives[slot]
+        self.negatives[slot] = refined
+        self.replacements[slot] += 1
+        if self.replacements[slot] > self.universe.n:
+            raise BoundViolationError(
+                f"negative slot {slot} replaced more than {self.universe.n} times"
+            )
+        block = build_clauses(refined, self.positives)
+        removed = []
+        for i in range(len(self.negatives) - 1, -1, -1):
+            if i == slot:
+                continue
+            if not satisfies(self.negatives[i], block):
+                removed.append((i, self.negatives[i]))
+                del self.negatives[i]
+                del self.replacements[i]
+        removed.reverse()
+        self.removal_count += len(removed)
+        self._rebuild()
+        self._record(
+            "replace", raw, refined,
+            replaced_index=slot, replaced_old=replaced_old, removed=removed,
+        )
+
+    def _rebuild(self):
+        self.hypothesis = rebuild_hypothesis(self.h0, self.negatives, self.positives)
+
+
+def _compare_runs(universe, make_oracles, bounds=None):
+    """Run both sessions and assert that every iteration's state and the
+    final results agree.
+
+    ``make_oracles(running)`` returns fresh ``(mem, eq)`` oracles for each
+    session; ``running`` is a list whose last entry is the session they
+    serve.
+    """
+    runs = []
+    running = []
+    for session_class in (LearnerSession, _ReferenceSession):
+        states = []
+
+        def observer(session, event):
+            blocks = session.blocks
+            assert blocks == [build_clauses(neg, session.positives)
+                              for neg in session.negatives]
+            states.append((
+                list(session.positives),
+                list(session.negatives),
+                list(session.replacements),
+                blocks,
+                session.hypothesis.clauses,
+                event,
+            ))
+
+        mem, eq = make_oracles(running)
+        session = session_class(universe, mem, eq, bounds=bounds, observer=observer)
+        running.append(session)
+        try:
+            result = session.run().clauses
+        except (BoundViolationError, OracleContractError) as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        runs.append((states, session.trace, result, stats_snapshot(session)))
+    fast, reference = runs
+    assert fast[0] == reference[0]
+    assert fast[1:] == reference[1:]
+    return fast
+
+
+def test_session_matches_the_reference_session():
+    rng = random.Random(1992)
+    events = set()
+    for trial in range(64):
+        n = 3 + trial % 8
+        u = numbered_universe(n)
+        target = random_target(u, rng)
+        bounds = TheoreticalBounds(n, len(target.clauses))
+
+        def teacher_oracles(strategy, **kwargs):
+            def make(running):
+                teacher = MvdfInterpretationTeacher(target, strategy, **kwargs)
+                return teacher.membership_answer, teacher.equivalence_answer
+            return make
+
+        _compare_runs(u, teacher_oracles("exhaustive"), bounds)
+        _, trace, _, _ = _compare_runs(u, teacher_oracles("random", seed=trial), bounds)
+        # replay the random run's counterexamples through a script
+        script = [Interpretation.from_bits(u, r.counterexample) for r in trace]
+        _compare_runs(u, teacher_oracles("scripted", script=script), bounds)
+        events.update(r.event for r in trace)
+    assert events == {"positive", "append", "replace"}
+
+
+def test_session_matches_the_reference_session_through_relations():
+    rng = random.Random(1996)
+    u = numbered_universe(7)
+    target = random_target(u, rng, max_clauses=4, allow_degenerate=False)
+    schema = AttributeSchema(u.names)
+
+    def make(running):
+        teacher = RelationTeacher(target, schema, "random", 5)
+        return translate_oracles(
+            relation_reduction(schema), teacher.membership_answer,
+            teacher.equivalence_answer,
+        )
+
+    _, trace, clauses, _ = _compare_runs(u, make)
+    assert len(trace) > 5
+    assert find_counterexample(MvdFormula(u, clauses), target) is None
+
+
+def test_one_iteration_from_a_prepared_state_matches_the_reference_session():
+    # No run above drops a stored negative after a replacement or merges a
+    # block into one part, so these iterations start from random stored
+    # examples against a random model set.  One counterexample in four may
+    # be any assignment, so that the errors of a lying teacher agree too.
+    rng = random.Random(2016)
+    seen = {"removal": 0, "one-part block": 0, "error": 0}
+    for trial in range(600):
+        n = rng.randrange(3, 7)
+        u = numbered_universe(n)
+        models = {m for m in range(1 << n) if rng.random() < 0.5}
+        nonmodels = [m for m in range(1 << n)
+                     if m not in models and popcount(u.full_mask ^ m) >= 2]
+        if len(nonmodels) < 2:
+            continue
+        negatives = rng.sample(nonmodels, rng.randrange(1, min(4, len(nonmodels)) + 1))
+        positives = rng.sample(sorted(models), min(len(models), rng.randrange(5)))
+        seed = rng.getrandbits(32)
+
+        def make(running):
+            pick = random.Random(seed)
+
+            def eq(hypothesis):
+                session = running[-1]
+                if session.iteration:
+                    return None
+                session.negatives = [Interpretation(u, m) for m in negatives]
+                session.replacements = [0] * len(negatives)
+                session.positives = [Interpretation(u, m) for m in positives]
+                session._rebuild()
+                if pick.randrange(4) == 0:
+                    return Interpretation(u, pick.randrange(1 << n))
+                wrong = [m for m in range(1 << n) if (m in models) != satisfies(
+                    Interpretation(u, m), session.hypothesis)]
+                return Interpretation(u, pick.choice(wrong)) if wrong else None
+
+            return (lambda interp: interp.mask in models), eq
+
+        states, _, result, stats = _compare_runs(u, make)
+        seen["removal"] += stats.removals
+        seen["one-part block"] += any(
+            len(block) == 1 for state in states for block in state[3]
+        )
+        seen["error"] += isinstance(result, str)
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

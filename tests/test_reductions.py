@@ -495,6 +495,22 @@ def test_horn_envelope_matches_the_reference_closure():
     assert kinds >= {"V a model", "V not a model"}
 
 
+def test_horn_envelope_leaves_no_horn_clause_in_the_violator_cache():
+    # the envelope checks its own model set, but that check must not keep
+    # one 2**n-bit set per emitted clause on the universe
+    rng = random.Random(16)
+    emitted = 0
+    for trial in range(60):
+        n = 2 + trial % 6
+        u = numbered_universe(n)
+        formula = random_target(u, rng, max_clauses=4)
+        got = horn_envelope(formula)
+        emitted += len(got.clauses)
+        assert not any(key[0] is HornClause for key in u._violator_cache)
+        assert got.clauses == _reference_horn_envelope(formula).clauses
+    assert emitted
+
+
 def test_horn_i_via_mvdf_single_clause_target():
     target = parse_formula("vars: 1 2 3 4 5 6\n1 3 5 -> 4\n", "horn")
     u = target.universe
