@@ -50,7 +50,8 @@ class VariableUniverse:
     """
 
     __slots__ = (
-        "names", "_index", "_var_patterns", "_layers", "_violator_cache", "__weakref__",
+        "names", "_hash", "_index", "_var_patterns", "_layers", "_violator_cache",
+        "__weakref__",
     )
 
     def __init__(self, names: Iterable[str]):
@@ -67,6 +68,8 @@ class VariableUniverse:
                 raise ValueError(f"duplicate variable name: {name!r}")
             seen.add(name)
         self.names = names
+        # every clause hash hashes its universe; the name tuple never changes
+        self._hash = hash(names)
         self._index = {name: i for i, name in enumerate(names)}
         self._var_patterns = None
         self._layers = None
@@ -102,7 +105,11 @@ class VariableUniverse:
         return isinstance(other, VariableUniverse) and self.names == other.names
 
     def __hash__(self):
-        return hash(self.names)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the names, so the hash is taken in the loading process
+        return VariableUniverse, (self.names,)
 
     def __repr__(self):
         return f"VariableUniverse({list(self.names)!r})"

@@ -45,7 +45,7 @@ from .core import (
 )
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .reductions import interp_to_pair
-from .relations import AttributeSchema, Relation, mvd_holds, read_csv
+from .relations import AttributeSchema, Relation, agreement_interp, mvd_holds, read_csv
 
 STRATEGIES = ("exhaustive", "random", "scripted")
 
@@ -286,6 +286,45 @@ class EntailmentTeacher(_TeacherBase):
         return None
 
 
+def _random_bit(getrandbits) -> int:
+    """``Random.randrange(2)`` from the generator's ``getrandbits``.
+
+    This is the rejection loop of ``Random._randbelow_with_getrandbits``
+    for a bound of 2, so it draws the same value and leaves the generator
+    in the same state as ``randrange(2)`` does.
+    """
+    bit = getrandbits(2)
+    while bit >= 2:
+        bit = getrandbits(2)
+    return bit
+
+
+def _clause_masks(formula) -> list:
+    """``(x, y, z)`` masks of the formula's clauses, in order."""
+    return [(c.x_mask, c.y_mask, c.z_mask) for c in formula.clauses]
+
+
+def _mask_relation_holds(rows, clauses) -> bool:
+    """Whether every clause ``(x, y, z)`` of ``clauses`` holds in the binary
+    relation whose distinct rows are the int masks ``rows`` (bit i set: the
+    value of attribute i is "1").
+
+    Rows ``a`` and ``b`` with ``d = a ^ b`` break ``X -> Y | Z`` when they
+    agree on X, differ on Y and on Z, and one of their swap rows
+    ``a ^ (d & Z)`` and ``b ^ (d & Z)`` is missing.  No pair differs on
+    an empty side, so a clause with one holds in every relation.
+    """
+    order = list(rows)
+    pairs = [(a, b, a ^ b) for i, a in enumerate(order) for b in order[i + 1:]]
+    for x, y, z in clauses:
+        for a, b, d in pairs:
+            if not d & x and d & y and d & z:
+                dz = d & z
+                if a ^ dz not in rows or b ^ dz not in rows:
+                    return False
+    return True
+
+
 class RelationTeacher(_TeacherBase):
     """Teacher for learning dependencies from data relations.
 
@@ -293,7 +332,10 @@ class RelationTeacher(_TeacherBase):
     the schema.  Equivalence of dependency sets coincides with model-set
     equality of the corresponding formulas, so the decision runs at the
     assignment level; counterexample relations are validated directly with
-    the holds-in-relation check.
+    the holds-in-relation check.  A relation of at most two rows satisfies
+    a proper dependency exactly when the rows' agreement assignment
+    satisfies the clause, so those membership queries are answered from
+    the target's model set.
     """
 
     def __init__(self, target: MvdFormula, schema: AttributeSchema,
@@ -311,6 +353,7 @@ class RelationTeacher(_TeacherBase):
         self.cap = cap
         self.random_tries = random_tries
         self._target_models = model_bitset(target, cap)
+        self._target_masks = _clause_masks(target)
 
     def holds(self, relation: Relation, formula) -> bool:
         return all(mvd_holds(relation, clause) for clause in formula.clauses)
@@ -319,7 +362,13 @@ class RelationTeacher(_TeacherBase):
         if example.schema != self.schema:
             raise UniverseMismatchError("membership query over the wrong schema")
         self.stats["membership_queries"] += 1
-        return self.holds(example, self.target)
+        rows = example.rows
+        if len(rows) > 2:
+            return self.holds(example, self.target)
+        if not rows:
+            return True
+        agree = agreement_interp(rows[0], rows[-1], self.universe).mask
+        return bool(self._target_models >> agree & 1)
 
     def equivalence_answer(self, hypothesis) -> Optional[Relation]:
         self.stats["equivalence_queries"] += 1
@@ -339,17 +388,36 @@ class RelationTeacher(_TeacherBase):
         return interp_to_pair(self._select_witness(diff), self.schema)
 
     def _random_relation(self, hypothesis) -> Optional[Relation]:
-        # look for a multi-row counterexample so the pair search gets exercised
+        """A random binary relation of two to four rows on which target and
+        hypothesis disagree, or ``None`` after ``random_tries`` draws.
+
+        Rows are drawn as int masks, cell by cell in row-major order, and
+        judged on the masks; only the returned relation is built as text.
+        """
+        if hypothesis.clauses and hypothesis.universe.names != self.schema.attributes:
+            raise UniverseMismatchError(
+                "dependency universe does not match the relation schema"
+            )
+        hypothesis_masks = _clause_masks(hypothesis)
+        target_masks = self._target_masks
+        randrange, getrandbits = self._rng.randrange, self._rng.getrandbits
+        arity = self.schema.arity
         for _ in range(self.random_tries):
-            rows = [
-                tuple(str(self._rng.randrange(2)) for _ in range(self.schema.arity))
-                for _ in range(self._rng.randrange(2, 5))
-            ]
-            candidate = Relation(self.schema, rows)
-            if len(candidate) < 2:
+            rows = {}
+            for _ in range(randrange(2, 5)):
+                row = 0
+                for i in range(arity):
+                    row |= _random_bit(getrandbits) << i
+                rows[row] = None
+            if len(rows) < 2:
                 continue
-            if self.holds(candidate, self.target) != self.holds(candidate, hypothesis):
-                return candidate
+            if _mask_relation_holds(rows, target_masks) != _mask_relation_holds(
+                rows, hypothesis_masks
+            ):
+                return Relation(self.schema, [
+                    tuple("1" if row >> i & 1 else "0" for i in range(arity))
+                    for row in rows
+                ])
         return None
 
 

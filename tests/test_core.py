@@ -1,6 +1,7 @@
 """Semantics, entailment and text-format tests for the core module."""
 
 import itertools
+import pickle
 import random
 import types
 
@@ -127,6 +128,15 @@ def test_universe_rejects_bad_names():
         VariableUniverse(["a", "->"])
     with pytest.raises(ValueError):
         VariableUniverse(["a", "b c"])
+
+
+def test_universe_hash_follows_its_names():
+    u = numbered_universe(4)
+    assert hash(u) == hash(numbered_universe(4)) == hash(u.names)
+    u.popcount_layers()
+    copy = pickle.loads(pickle.dumps(u))
+    assert copy == u and hash(copy) == hash(u)
+    assert copy._layers is None  # rebuilt from the names, caches left behind
 
 
 def test_interpretation_bits_round_trip():

@@ -13,9 +13,12 @@ from mvdlearn import (
     OracleContractError,
     Relation,
     SchemaError,
+    UniverseMismatchError,
+    VariableUniverse,
     entails,
     equivalent,
     find_counterexample,
+    mvd_holds,
     parse_clause,
     parse_formula,
     satisfies,
@@ -25,6 +28,9 @@ from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
+    _mask_relation_holds,
+    _clause_masks,
+    _random_bit,
     enumerate_horn_clauses,
     enumerate_mvd_clauses,
     enumerate_quasi2_clauses,
@@ -37,6 +43,7 @@ from mvdlearn.reductions import relation_reduction, translate_oracles
 
 from conftest import (
     numbered_universe,
+    random_clause,
     random_definite_horn,
     random_proper_clause,
     random_target,
@@ -260,6 +267,119 @@ def test_relation_teacher_scripted_validation():
     teacher = RelationTeacher(target, schema, "scripted", script=[harmless])
     with pytest.raises(OracleContractError, match="not a counterexample"):
         teacher.equivalence_answer(MvdFormula(u))
+
+
+def _binary_relation(schema, masks):
+    """The "0"/"1" relation whose rows are the int masks, in order."""
+    arity = schema.arity
+    return Relation(schema, [
+        tuple("1" if m >> i & 1 else "0" for i in range(arity)) for m in masks
+    ])
+
+
+def test_mask_relation_check_matches_mvd_holds():
+    rng = random.Random(21)
+    verdicts = set()
+    for n in range(2, 7):
+        u = numbered_universe(n)
+        schema = AttributeSchema(u.names)
+        clauses = list(enumerate_mvd_clauses(u))
+        for _ in range(40):
+            rows = dict.fromkeys(rng.getrandbits(n) for _ in range(rng.randint(1, 6)))
+            relation = _binary_relation(schema, rows)
+            for clause in clauses:
+                expected = mvd_holds(relation, clause)
+                single = MvdFormula(u, [clause])
+                assert _mask_relation_holds(rows, _clause_masks(single)) == expected
+                verdicts.add(expected)
+            formula = MvdFormula(u, [random_clause(u, rng) for _ in range(rng.randrange(7))])
+            expected = all(mvd_holds(relation, c) for c in formula.clauses)
+            assert _mask_relation_holds(rows, _clause_masks(formula)) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_random_bit_matches_randrange():
+    for seed in range(200):
+        fast, reference = random.Random(seed), random.Random(seed)
+        drawn = [_random_bit(fast.getrandbits) for _ in range(50)]
+        assert drawn == [reference.randrange(2) for _ in range(50)]
+        assert fast.getstate() == reference.getstate()
+
+
+def _reference_random_relation(self, hypothesis):
+    """The random teacher's candidate search on text relations."""
+    for _ in range(self.random_tries):
+        rows = [
+            tuple(str(self._rng.randrange(2)) for _ in range(self.schema.arity))
+            for _ in range(self._rng.randrange(2, 5))
+        ]
+        candidate = Relation(self.schema, rows)
+        if len(candidate) < 2:
+            continue
+        if self.holds(candidate, self.target) != self.holds(candidate, hypothesis):
+            return candidate
+    return None
+
+
+def _relation_run(target, seed):
+    """Counterexample row sequences, learned formula and counters of one
+    random-strategy relation run."""
+    witnesses, *rest = _record_run(
+        target,
+        lambda target, strategy, seed: RelationTeacher(
+            target, AttributeSchema(target.universe.names), strategy, seed
+        ),
+        "random", seed,
+    )
+    return [None if w is None else w.rows for w in witnesses], *rest
+
+
+def test_random_relation_teacher_matches_the_text_reference(monkeypatch):
+    rng = random.Random(8)
+    targets = [
+        random_target(numbered_universe(n), rng, allow_degenerate=False)
+        for n in range(5, 11) for _ in range(2)
+    ]
+    fast = [_relation_run(t, seed) for seed, t in enumerate(targets)]
+    monkeypatch.setattr(RelationTeacher, "_random_relation", _reference_random_relation)
+    slow = [_relation_run(t, seed) for seed, t in enumerate(targets)]
+    assert fast == slow
+    assert any(len(rows) > 2 for witnesses, *_ in fast for rows in witnesses if rows)
+
+
+def test_relation_teacher_small_membership_matches_holds():
+    rng = random.Random(5)
+    for n in range(2, 5):
+        u = numbered_universe(n)
+        schema = AttributeSchema(u.names)
+        for _ in range(4):
+            teacher = RelationTeacher(random_target(u, rng, allow_degenerate=False), schema)
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    example = _binary_relation(schema, (a, b))
+                    assert teacher.membership_answer(example) == teacher.holds(
+                        example, teacher.target
+                    )
+            assert teacher.membership_answer(Relation(schema))
+            # larger relations keep the relation check
+            for _ in range(20):
+                rows = [rng.getrandbits(n) for _ in range(rng.randint(3, 5))]
+                example = _binary_relation(schema, rows)
+                assert teacher.membership_answer(example) == teacher.holds(
+                    example, teacher.target
+                )
+    assert teacher.stats["membership_queries"] == (1 << 2 * n) + 1 + 20
+
+
+def test_random_relation_teacher_rejects_a_foreign_hypothesis():
+    u = numbered_universe(3)
+    target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
+    teacher = RelationTeacher(target, AttributeSchema(u.names), "random", seed=1)
+    other = VariableUniverse(["a", "b", "c"])
+    hypothesis = MvdFormula(other, [parse_clause("b -> a | c", other)])
+    with pytest.raises(UniverseMismatchError):
+        teacher.equivalence_answer(hypothesis)
 
 
 # ---------------------------------------------------------------------------
