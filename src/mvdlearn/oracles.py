@@ -45,7 +45,14 @@ from .core import (
 )
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .reductions import interp_to_pair
-from .relations import AttributeSchema, Relation, agreement_interp, mvd_holds, read_csv
+from .relations import (
+    AttributeSchema,
+    Relation,
+    agreement_mask,
+    binary_row,
+    mvd_holds,
+    read_csv,
+)
 
 STRATEGIES = ("exhaustive", "random", "scripted")
 
@@ -157,6 +164,10 @@ class _TeacherBase:
         rank = 0 if self.strategy == "exhaustive" else self._rng.randrange(popcount(diff))
         return Interpretation(self.universe, canonical_select(diff, self.universe, rank))
 
+    def _check_hypothesis(self, hypothesis) -> None:
+        if hypothesis.universe != self.universe:
+            raise UniverseMismatchError("equivalence query over the wrong universe")
+
     def _scripted_answer(self, differs, separates, describe):
         """Release the next scripted entry once it is checked.
 
@@ -206,6 +217,7 @@ class MvdfInterpretationTeacher(_TeacherBase):
 
     def equivalence_answer(self, hypothesis) -> Optional[Interpretation]:
         self.stats["equivalence_queries"] += 1
+        self._check_hypothesis(hypothesis)
         diff = self._target_models ^ model_bitset(hypothesis, self.cap)
         if self.strategy == "scripted":
             return self._scripted_answer(
@@ -256,8 +268,7 @@ class EntailmentTeacher(_TeacherBase):
 
     def equivalence_answer(self, hypothesis):
         self.stats["equivalence_queries"] += 1
-        if hypothesis.universe != self.universe:
-            raise UniverseMismatchError("equivalence query over the wrong universe")
+        self._check_hypothesis(hypothesis)
         models = model_bitset(hypothesis, self.cap)
         if self.strategy == "scripted":
             return self._scripted_answer(
@@ -286,42 +297,33 @@ class EntailmentTeacher(_TeacherBase):
         return None
 
 
-def _random_bit(getrandbits) -> int:
-    """``Random.randrange(2)`` from the generator's ``getrandbits``.
-
-    This is the rejection loop of ``Random._randbelow_with_getrandbits``
-    for a bound of 2, so it draws the same value and leaves the generator
-    in the same state as ``randrange(2)`` does.
-    """
-    bit = getrandbits(2)
-    while bit >= 2:
-        bit = getrandbits(2)
-    return bit
-
-
 def _clause_masks(formula) -> list:
     """``(x, y, z)`` masks of the formula's clauses, in order."""
     return [(c.x_mask, c.y_mask, c.z_mask) for c in formula.clauses]
 
 
-def _mask_relation_holds(rows, clauses) -> bool:
+def _candidate_holds(rows, pairs, models, clauses) -> bool:
     """Whether every clause ``(x, y, z)`` of ``clauses`` holds in the binary
     relation whose distinct rows are the int masks ``rows`` (bit i set: the
     value of attribute i is "1").
 
-    Rows ``a`` and ``b`` with ``d = a ^ b`` break ``X -> Y | Z`` when they
-    agree on X, differ on Y and on Z, and one of their swap rows
-    ``a ^ (d & Z)`` and ``b ^ (d & Z)`` is missing.  No pair differs on
-    an empty side, so a clause with one holds in every relation.
+    ``pairs`` lists each row pair as ``(a, b, agree)`` with the agreement
+    mask ``agree = full ^ a ^ b``, and ``models`` is the model set of the
+    proper clauses among ``clauses``.  A pair breaks no clause when its
+    agreement assignment is in ``models``.  Otherwise rows ``a`` and ``b``
+    with ``d = a ^ b`` break ``X -> Y | Z`` when they agree on X, differ on
+    Y and on Z, and one of their swap rows ``a ^ (d & Z)`` and
+    ``b ^ (d & Z)`` is missing (Fagin 1977).  No pair differs on an empty
+    side, so a clause with one holds in every relation.
     """
-    order = list(rows)
-    pairs = [(a, b, a ^ b) for i, a in enumerate(order) for b in order[i + 1:]]
-    for x, y, z in clauses:
-        for a, b, d in pairs:
-            if not d & x and d & y and d & z:
-                dz = d & z
-                if a ^ dz not in rows or b ^ dz not in rows:
-                    return False
+    for a, b, agree in pairs:
+        if not models >> agree & 1:
+            d = a ^ b
+            for x, y, z in clauses:
+                if not d & x and d & y and d & z:
+                    dz = d & z
+                    if a ^ dz not in rows or b ^ dz not in rows:
+                        return False
     return True
 
 
@@ -331,11 +333,13 @@ class RelationTeacher(_TeacherBase):
     The target is a set of proper dependencies (both sides non-empty) over
     the schema.  Equivalence of dependency sets coincides with model-set
     equality of the corresponding formulas, so the decision runs at the
-    assignment level; counterexample relations are validated directly with
-    the holds-in-relation check.  A relation of at most two rows satisfies
-    a proper dependency exactly when the rows' agreement assignment
-    satisfies the clause, so those membership queries are answered from
-    the target's model set.
+    assignment level.  A relation of two rows satisfies a proper dependency
+    exactly when the rows' agreement assignment satisfies the clause, so a
+    membership query on at most two rows is one bit of the target's model
+    set.  Random counterexample relations are judged pair by pair on their
+    agreement masks, and the swap-row test runs only for a pair whose
+    agreement assignment is not a model; scripted relations and membership
+    queries on more rows are checked with the holds-in-relation check.
     """
 
     def __init__(self, target: MvdFormula, schema: AttributeSchema,
@@ -367,12 +371,13 @@ class RelationTeacher(_TeacherBase):
             return self.holds(example, self.target)
         if not rows:
             return True
-        agree = agreement_interp(rows[0], rows[-1], self.universe).mask
-        return bool(self._target_models >> agree & 1)
+        return bool(self._target_models >> agreement_mask(rows[0], rows[-1]) & 1)
 
     def equivalence_answer(self, hypothesis) -> Optional[Relation]:
         self.stats["equivalence_queries"] += 1
-        diff = self._target_models ^ model_bitset(hypothesis, self.cap)
+        self._check_hypothesis(hypothesis)
+        models = model_bitset(hypothesis, self.cap)
+        diff = self._target_models ^ models
         if self.strategy == "scripted":
             return self._scripted_answer(
                 lambda: diff != 0,
@@ -382,24 +387,34 @@ class RelationTeacher(_TeacherBase):
         if diff == 0:
             return None
         if self.strategy == "random":
-            found = self._random_relation(hypothesis)
+            found = self._random_relation(hypothesis, models)
             if found is not None:
                 return found
         return interp_to_pair(self._select_witness(diff), self.schema)
 
-    def _random_relation(self, hypothesis) -> Optional[Relation]:
+    def _random_relation(self, hypothesis, models: int) -> Optional[Relation]:
         """A random binary relation of two to four rows on which target and
         hypothesis disagree, or ``None`` after ``random_tries`` draws.
 
-        Rows are drawn as int masks, cell by cell in row-major order, and
-        judged on the masks; only the returned relation is built as text.
+        Rows are drawn as int masks, cell by cell in row-major order, with
+        the draws of ``randrange(2)``.  Each candidate is judged on its row
+        pairs' agreement masks against the target's model set and the model
+        set of the hypothesis's proper clauses (``models`` is the whole
+        hypothesis's): an ``X -> Y | -`` clause excludes assignments but
+        holds in every relation.  Only the returned relation is built as
+        text.
         """
-        if hypothesis.clauses and hypothesis.universe.names != self.schema.attributes:
-            raise UniverseMismatchError(
-                "dependency universe does not match the relation schema"
+        clauses = hypothesis.clauses
+        if not all(c.is_proper for c in clauses):
+            models = model_bitset(
+                MvdFormula(hypothesis.universe, [c for c in clauses if c.is_proper]),
+                self.cap,
             )
+        target_models, target_masks = self._target_models, self._target_masks
         hypothesis_masks = _clause_masks(hypothesis)
-        target_masks = self._target_masks
+        # the two-row verdicts: agreement masks where exactly one side holds
+        split = target_models ^ models
+        full = self.universe.full_mask
         randrange, getrandbits = self._rng.randrange, self._rng.getrandbits
         arity = self.schema.arity
         for _ in range(self.random_tries):
@@ -407,17 +422,27 @@ class RelationTeacher(_TeacherBase):
             for _ in range(randrange(2, 5)):
                 row = 0
                 for i in range(arity):
-                    row |= _random_bit(getrandbits) << i
+                    # randrange(2), as Random._randbelow_with_getrandbits(2)
+                    bit = getrandbits(2)
+                    while bit >= 2:
+                        bit = getrandbits(2)
+                    row |= bit << i
                 rows[row] = None
             if len(rows) < 2:
                 continue
-            if _mask_relation_holds(rows, target_masks) != _mask_relation_holds(
-                rows, hypothesis_masks
-            ):
-                return Relation(self.schema, [
-                    tuple("1" if row >> i & 1 else "0" for i in range(arity))
-                    for row in rows
-                ])
+            if len(rows) == 2:
+                a, b = rows
+                differs = split >> (full ^ a ^ b) & 1
+            else:
+                order = list(rows)
+                pairs = [
+                    (a, b, full ^ a ^ b) for i, a in enumerate(order) for b in order[i + 1:]
+                ]
+                differs = _candidate_holds(rows, pairs, target_models, target_masks) != (
+                    _candidate_holds(rows, pairs, models, hypothesis_masks)
+                )
+            if differs:
+                return Relation(self.schema, [binary_row(row, arity) for row in rows])
         return None
 
 

@@ -44,12 +44,11 @@ from .core import (
     down_closure,
     entails,
     model_bitset,
-    satisfies,
     violator_bitset,
 )
 from .errors import ConversionError, OracleContractError, UniverseMismatchError
 from .learner import learn
-from .relations import AttributeSchema, Relation, agreement_interp, mvd_holds
+from .relations import AttributeSchema, Relation, agreement_mask, binary_row, mvd_holds
 
 @dataclass(frozen=True)
 class ReductionPair:
@@ -113,11 +112,23 @@ def interp_to_pair(interp: Interpretation, schema: AttributeSchema) -> Relation:
     """
     if schema.attributes != interp.universe.names:
         raise UniverseMismatchError("schema does not match the assignment universe")
-    top = tuple("0" for _ in range(schema.arity))
-    bottom = tuple(
-        "0" if interp.mask >> i & 1 else "1" for i in range(schema.arity)
+    return Relation(schema, (
+        binary_row(0, schema.arity), binary_row(interp.false_mask, schema.arity)
+    ))
+
+
+def _pair_holds(agree: int, clauses) -> bool:
+    """Whether the dependencies ``(x, y, z)`` all hold in a two-row relation
+    whose rows agree exactly on the mask ``agree``.
+
+    A proper dependency fails there exactly when ``agree`` violates its
+    clause: X all true, and neither Y nor Z all true.  A clause with an
+    empty side never fails: it holds in every relation, though it excludes
+    assignments.
+    """
+    return not any(
+        agree & x == x and agree & y != y and agree & z != z for x, y, z in clauses
     )
-    return Relation(schema, (top, bottom))
 
 
 def relation_ce_to_interp(
@@ -134,10 +145,12 @@ def relation_ce_to_interp(
     The agreement assignment of that pair disagrees with exactly one of
     target and hypothesis.  At most ``|r|**2`` membership queries are spent.
 
-    The hypothesis side of a pair is judged on its agreement assignment: a
-    two-row relation satisfies a proper dependency exactly when that
-    assignment satisfies the clause, and a clause with an empty side holds
-    in every relation.
+    Each pair's agreement mask is read once, and the hypothesis side of a
+    pair is judged on it: a two-row relation satisfies a proper dependency
+    exactly when that assignment satisfies the clause, and a clause with an
+    empty side holds in every relation.  So a two-row relation is its own
+    only pair and takes its verdict from it, and only a relation of three
+    or more rows is checked with the holds-in-relation check.
     """
     universe = hypothesis.universe
     if relation.schema.attributes != universe.names:
@@ -146,18 +159,23 @@ def relation_ce_to_interp(
         raise OracleContractError(
             "a relation with fewer than two rows cannot be a counterexample"
         )
-    hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
-    proper = [c for c in hypothesis.clauses if c.y_mask and c.z_mask]
+    clauses = [(c.x_mask, c.y_mask, c.z_mask) for c in hypothesis.clauses]
     rows = relation.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            interp = agreement_interp(rows[i], rows[j], universe)
-            # a pair on which the hypothesis agrees with its verdict on the
-            # whole relation, and the target does not
-            if satisfies(interp, proper) == hypothesis_holds and bool(
-                mem_relation(Relation(relation.schema, (rows[i], rows[j])))
-            ) != hypothesis_holds:
-                return interp
+    if len(rows) == 2:
+        agree = agreement_mask(*rows)
+        if bool(mem_relation(relation)) != _pair_holds(agree, clauses):
+            return Interpretation(universe, agree)
+    else:
+        hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                agree = agreement_mask(rows[i], rows[j])
+                # a pair on which the hypothesis agrees with its verdict on
+                # the whole relation, and the target does not
+                if _pair_holds(agree, clauses) == hypothesis_holds and bool(
+                    mem_relation(Relation(relation.schema, (rows[i], rows[j])))
+                ) != hypothesis_holds:
+                    return Interpretation(universe, agree)
     raise OracleContractError(
         "no row pair separates target and hypothesis; the relation is not a "
         "genuine counterexample"

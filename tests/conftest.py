@@ -82,6 +82,18 @@ def random_proper_clause(universe: VariableUniverse, rng: random.Random) -> MvdC
             return MvdClause(universe, x, y, z)
 
 
+def random_wide_empty_side_clause(universe: VariableUniverse,
+                                  rng: random.Random) -> MvdClause:
+    """A clause ``X -> Y | -`` with at least two variables in Y (n >= 2).
+
+    It holds in every relation but excludes every assignment with exactly
+    one false variable, in Y: here model sets and relations part."""
+    while True:
+        y = rng.getrandbits(universe.n)
+        if popcount(y) >= 2:
+            return MvdClause(universe, universe.full_mask ^ y, y, 0)
+
+
 def random_clause(universe: VariableUniverse, rng: random.Random,
                   allow_degenerate: bool = True) -> MvdClause:
     roll = rng.random()

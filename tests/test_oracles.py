@@ -23,14 +23,14 @@ from mvdlearn import (
     parse_formula,
     satisfies,
 )
+from mvdlearn.core import model_bitset
 from mvdlearn.learner import LearnerSession
 from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
-    _mask_relation_holds,
     _clause_masks,
-    _random_bit,
+    _candidate_holds,
     enumerate_horn_clauses,
     enumerate_mvd_clauses,
     enumerate_quasi2_clauses,
@@ -47,6 +47,7 @@ from conftest import (
     random_definite_horn,
     random_proper_clause,
     random_target,
+    random_wide_empty_side_clause,
 )
 from test_core import _scan_select
 
@@ -277,6 +278,31 @@ def _binary_relation(schema, masks):
     ])
 
 
+def _mask_relation_holds(rows, clauses) -> bool:
+    """The random teacher's clause-by-clause check on int-mask rows, kept
+    as the reference: rows ``a`` and ``b`` with ``d = a ^ b`` break
+    ``X -> Y | Z`` when they agree on X, differ on Y and on Z, and one of
+    their swap rows ``a ^ (d & Z)`` and ``b ^ (d & Z)`` is missing."""
+    order = list(rows)
+    pairs = [(a, b, a ^ b) for i, a in enumerate(order) for b in order[i + 1:]]
+    for x, y, z in clauses:
+        for a, b, d in pairs:
+            if not d & x and d & y and d & z:
+                dz = d & z
+                if a ^ dz not in rows or b ^ dz not in rows:
+                    return False
+    return True
+
+
+def _random_bit(getrandbits) -> int:
+    """``Random.randrange(2)`` from the generator's ``getrandbits``: the
+    rejection loop the random teacher inlines per cell."""
+    bit = getrandbits(2)
+    while bit >= 2:
+        bit = getrandbits(2)
+    return bit
+
+
 def test_mask_relation_check_matches_mvd_holds():
     rng = random.Random(21)
     verdicts = set()
@@ -299,6 +325,50 @@ def test_mask_relation_check_matches_mvd_holds():
     assert verdicts == {True, False}
 
 
+def _row_pairs(rows, full):
+    """``(a, b, agreement mask)`` of every pair of the int-mask rows, in order."""
+    order = list(rows)
+    return [(a, b, full ^ a ^ b) for i, a in enumerate(order) for b in order[i + 1:]]
+
+
+def _proper_models(formula):
+    """The model set of the formula's proper clauses."""
+    proper = [c for c in formula.clauses if c.is_proper]
+    return model_bitset(MvdFormula(formula.universe, proper))
+
+
+def test_pair_judge_matches_mvd_holds_on_every_clause():
+    rng = random.Random(17)
+    verdicts = set()
+    for n in range(2, 7):
+        u = numbered_universe(n)
+        schema = AttributeSchema(u.names)
+        clauses = list(enumerate_mvd_clauses(u))
+        for size in (2, 3, 4):
+            for _ in range(12):
+                rows = dict.fromkeys(rng.sample(range(1 << n), size))
+                relation = _binary_relation(schema, rows)
+                pairs = _row_pairs(rows, u.full_mask)
+                for clause in clauses:
+                    single = MvdFormula(u, [clause])
+                    masks = _clause_masks(single)
+                    models = _proper_models(single)
+                    expected = mvd_holds(relation, clause)
+                    assert _candidate_holds(rows, pairs, models, masks) == expected
+                    if size == 2:  # the verdict is one bit of the model set
+                        assert bool(models >> pairs[0][2] & 1) == expected
+                    verdicts.add((size, expected))
+                # formulas with X -> Y | - clauses, |Y| >= 2, whose violators
+                # are left out of the proper clauses' model set
+                formula = MvdFormula(u, [random_clause(u, rng) for _ in range(rng.randrange(4))]
+                                     + [random_wide_empty_side_clause(u, rng)])
+                expected = all(mvd_holds(relation, c) for c in formula.clauses)
+                assert _candidate_holds(
+                    rows, pairs, _proper_models(formula), _clause_masks(formula)
+                ) == expected
+    assert verdicts == {(size, v) for size in (2, 3, 4) for v in (True, False)}
+
+
 def test_random_bit_matches_randrange():
     for seed in range(200):
         fast, reference = random.Random(seed), random.Random(seed)
@@ -307,8 +377,9 @@ def test_random_bit_matches_randrange():
         assert fast.getstate() == reference.getstate()
 
 
-def _reference_random_relation(self, hypothesis):
-    """The random teacher's candidate search on text relations."""
+def _reference_random_relation(self, hypothesis, models):
+    """The random teacher's candidate search on text relations; the
+    hypothesis's model set ``models`` is not used."""
     for _ in range(self.random_tries):
         rows = [
             tuple(str(self._rng.randrange(2)) for _ in range(self.schema.arity))
@@ -341,11 +412,32 @@ def test_random_relation_teacher_matches_the_text_reference(monkeypatch):
         random_target(numbered_universe(n), rng, allow_degenerate=False)
         for n in range(5, 11) for _ in range(2)
     ]
+    # single queries with hypotheses that hold X -> Y | - clauses, |Y| >= 2
+    queries = []
+    for n in range(3, 7):
+        u = numbered_universe(n)
+        for _ in range(15):
+            clauses = [random_proper_clause(u, rng) for _ in range(rng.randrange(3))]
+            clauses += [random_wide_empty_side_clause(u, rng) for _ in range(rng.randint(1, 2))]
+            queries.append((random_target(u, rng, allow_degenerate=False), MvdFormula(u, clauses)))
+
+    def answers():
+        got = []
+        for seed, (target, hypothesis) in enumerate(queries):
+            teacher = RelationTeacher(target, AttributeSchema(target.universe.names),
+                                      "random", seed)
+            answer = teacher.equivalence_answer(hypothesis)
+            got.append((answer.rows, teacher._rng.getstate()))
+        return got
+
     fast = [_relation_run(t, seed) for seed, t in enumerate(targets)]
+    fast_answers = answers()
     monkeypatch.setattr(RelationTeacher, "_random_relation", _reference_random_relation)
     slow = [_relation_run(t, seed) for seed, t in enumerate(targets)]
     assert fast == slow
     assert any(len(rows) > 2 for witnesses, *_ in fast for rows in witnesses if rows)
+    assert fast_answers == answers()
+    assert {len(rows) for rows, _ in fast_answers} >= {2, 3}
 
 
 def test_relation_teacher_small_membership_matches_holds():
@@ -370,6 +462,50 @@ def test_relation_teacher_small_membership_matches_holds():
                     example, teacher.target
                 )
     assert teacher.stats["membership_queries"] == (1 << 2 * n) + 1 + 20
+
+
+def test_relation_teacher_two_row_membership_on_text_values():
+    # values sharing a prefix ("1", "10", "100") and the empty string: the
+    # agreement mask compares whole values
+    rng = random.Random(12)
+    alphabet = ["0", "1", "10", "100", "01", "", "x"]
+    for n in range(2, 6):
+        u = numbered_universe(n)
+        schema = AttributeSchema(u.names)
+        for _ in range(4):
+            teacher = RelationTeacher(random_target(u, rng, allow_degenerate=False), schema)
+            for _ in range(60):
+                size = rng.randrange(3, len(alphabet) + 1)
+                values = alphabet[:size]
+                example = Relation(schema, [
+                    tuple(rng.choice(values) for _ in range(n)) for _ in range(2)
+                ])
+                assert teacher.membership_answer(example) == teacher.holds(
+                    example, teacher.target
+                )
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "random", "scripted"])
+@pytest.mark.parametrize("examples", ["interpretations", "relations"])
+def test_teachers_reject_a_hypothesis_over_another_universe(examples, strategy):
+    u = numbered_universe(3)
+    target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
+    wider = numbered_universe(4)
+    hypothesis = MvdFormula(wider, [parse_clause("1 -> 2 | 3 4", wider)])
+    if examples == "interpretations":
+        script = [Interpretation.from_bits(u, "101")]
+        teacher = MvdfInterpretationTeacher(
+            target, strategy, seed=1, script=script if strategy == "scripted" else None
+        )
+    else:
+        schema = AttributeSchema(u.names)
+        script = [Relation(schema, [("a", "b", "c"), ("a", "d", "e")])]
+        teacher = RelationTeacher(
+            target, schema, strategy, seed=1,
+            script=script if strategy == "scripted" else None,
+        )
+    with pytest.raises(UniverseMismatchError):
+        teacher.equivalence_answer(hypothesis)
 
 
 def test_random_relation_teacher_rejects_a_foreign_hypothesis():

@@ -60,6 +60,7 @@ from conftest import (
     random_definite_horn,
     random_proper_clause,
     random_target,
+    random_wide_empty_side_clause,
 )
 
 
@@ -202,6 +203,9 @@ def test_relation_ce_matches_the_reference_pair_scan():
         for v in range(n):
             if rng.random() < 0.4:
                 clauses.append(MvdClause(u, u.full_mask ^ (1 << v), 1 << v, 0))
+        # the X -> Y | - clause, |Y| >= 2, of a one-part learner block
+        if rng.random() < 0.5:
+            clauses.append(random_wide_empty_side_clause(u, rng))
         hypothesis = MvdFormula(u, clauses)
         alphabet = rng.randrange(2, 4)
         relation = Relation(schema, [

@@ -22,6 +22,7 @@ from mvdlearn import (
 from mvdlearn.cli import main
 from mvdlearn.core import bit_indices, enum_masks
 from mvdlearn.oracles import enumerate_mvd_clauses
+from mvdlearn.relations import agreement_mask
 
 from conftest import numbered_universe, random_proper_clause
 
@@ -237,6 +238,19 @@ def test_agreement_interp():
     assert agreement_interp(t, t, u).mask == u.full_mask
     t3 = ("p", "q", "r", "s", "t")
     assert agreement_interp(t, t3, u).mask == 0
+
+
+def test_agreement_mask_matches_agreement_interp_on_text_values():
+    # values sharing a prefix must differ: "1" / "10", "" / "0"
+    rng = random.Random(4)
+    alphabet = ["0", "1", "10", "01", "100", "", "a,b"]
+    for n in range(1, 9):
+        u = numbered_universe(n)
+        for size in range(3, len(alphabet) + 1):
+            for _ in range(10):
+                t, t2 = (tuple(rng.choice(alphabet[:size]) for _ in range(n)) for _ in "ab")
+                assert agreement_mask(t, t2) == agreement_interp(t, t2, u).mask
+    assert agreement_mask(("1", "10", ""), ("10", "10", "0")) == 0b010
 
 
 def test_schema_alignment_enforced():
