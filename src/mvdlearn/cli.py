@@ -207,7 +207,7 @@ class _Learning(NamedTuple):
     teacher: Callable  # (target, strategy, seed, script, cap) -> teacher
     reduction: Optional[Callable]  # teacher -> ReductionPair; None: no translation
     clause_factor: int  # factor on the target's clause count in the bounds
-    extract: Optional[Callable]  # learned formula -> printed result; None: as learned
+    extract: Optional[Callable]  # (learned formula, cap) -> printed result; None: as learned
 
 
 _LEARNING = {
@@ -228,18 +228,22 @@ _LEARNING = {
     ("learn-horn", "interpretations"): _Learning(
         "horn", "interpretation",
         lambda target, *opts: MvdfInterpretationTeacher(target, *opts),
-        None, 2, lambda learned: mvdf_to_horn(learned),
+        None, 2, lambda learned, cap: mvdf_to_horn(learned, cap),
     ),
     ("learn-horn", "entailments"): _Learning(
         "horn", "horn",
         lambda target, *opts: EntailmentTeacher(target, "horn", *opts),
-        lambda teacher: horn_entailment_reduction(), 2,
-        lambda learned: horn_from_entailment_run(learned, mvdf_to_horn, horn_envelope),
+        lambda teacher: horn_entailment_reduction(teacher.cap), 2,
+        lambda learned, cap: horn_from_entailment_run(
+            learned,
+            lambda formula: mvdf_to_horn(formula, cap),
+            lambda formula: horn_envelope(formula, cap),
+        ),
     ),
     "learn-q": _Learning(
         "mvd", "quasi2",
         lambda target, *opts: EntailmentTeacher(target, "quasi2", *opts),
-        lambda teacher: quasi2_reduction(), 1, None,
+        lambda teacher: quasi2_reduction(teacher.cap), 1, None,
     ),
 }
 
@@ -257,7 +261,7 @@ def _cmd_learn(args) -> int:
     bounds = TheoreticalBounds(universe.n, row.clause_factor * len(target.clauses))
     session = LearnerSession(universe, mem, eq, bounds=bounds)
     learned = session.run()
-    result = learned if row.extract is None else row.extract(learned)
+    result = learned if row.extract is None else row.extract(learned, teacher.cap)
     _emit_run(session, result, teacher, args)
     return 0
 

@@ -2,9 +2,8 @@
 
 A teacher wraps a ground-truth formula and answers membership and
 equivalence queries for one example kind: truth assignments, Horn-clause
-entailments, two-literal-clause entailments, full-cover-implication
-entailments, or data relations.  Three counterexample strategies are
-supported:
+entailments, two-literal-clause entailments, or data relations.  Three
+counterexample strategies are supported:
 
 * ``exhaustive``   - the first element of the symmetric difference in the
   canonical enumeration order, so runs are reproducible bit for bit;
@@ -23,25 +22,23 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     DEFAULT_ENUM_CAP,
     HornClause,
     Interpretation,
-    MvdClause,
     MvdFormula,
     QuasiHorn2Clause,
     VariableUniverse,
     bit_indices,
     canonical_select,
-    enum_masks,
+    down_closure,
     entails,  # not called here; perfbench/spans.py wraps it under this name
     format_clause,
     model_bitset,
     parse_clause,
     popcount,
-    violator_bitset,
 )
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .reductions import interp_to_pair
@@ -90,54 +87,6 @@ def stats_snapshot(session) -> QueryStats:
 
 
 # ---------------------------------------------------------------------------
-# Example-space enumerations (fixed orders, documented here once)
-#
-# Antecedents run in the canonical mask order (ascending size, then
-# lexicographic on index tuples).  Within one antecedent, Horn clauses list
-# consequents ascending and the purely negative clause appears for X = V;
-# two-literal clauses list the negative clause first, then single
-# consequents ascending, then pairs in lexicographic order; full-cover
-# implications list the empty-right-side clause first and then the proper
-# splits by ascending left side.
-
-
-def enumerate_horn_clauses(universe: VariableUniverse) -> Iterator[HornClause]:
-    for x in enum_masks(universe.n):
-        if x == universe.full_mask:
-            yield HornClause(universe, x, None)
-            continue
-        for v in range(universe.n):
-            if not x >> v & 1:
-                yield HornClause(universe, x, v)
-
-
-def enumerate_quasi2_clauses(universe: VariableUniverse) -> Iterator[QuasiHorn2Clause]:
-    for x in enum_masks(universe.n):
-        yield QuasiHorn2Clause(universe, x, frozenset())
-        outside = [v for v in range(universe.n) if not x >> v & 1]
-        for v in outside:
-            yield QuasiHorn2Clause(universe, x, frozenset((v,)))
-        for v, w in itertools.combinations(outside, 2):
-            yield QuasiHorn2Clause(universe, x, frozenset((v, w)))
-
-
-def enumerate_mvd_clauses(universe: VariableUniverse) -> Iterator[MvdClause]:
-    for x in enum_masks(universe.n):
-        rest = universe.full_mask ^ x
-        if rest == 0:
-            yield MvdClause(universe, x, 0, 0)
-            continue
-        yield MvdClause(universe, x, rest, 0)
-        rest_bits = list(bit_indices(rest))
-        for size in range(1, len(rest_bits)):
-            for combo in itertools.combinations(rest_bits, size):
-                y = 0
-                for v in combo:
-                    y |= 1 << v
-                yield MvdClause(universe, x, y, rest ^ y)
-
-
-# ---------------------------------------------------------------------------
 # Teachers
 
 
@@ -158,10 +107,15 @@ class _TeacherBase:
         self._cursor = 0
         self.stats = {"membership_queries": 0, "equivalence_queries": 0}
 
+    def _draw_rank(self, count: int) -> int:
+        """The rank of the counterexample among ``count`` candidates: 0, or
+        one uniform ``randrange`` draw for ``random``."""
+        return 0 if self.strategy == "exhaustive" else self._rng.randrange(count)
+
     def _select_witness(self, diff: int) -> Interpretation:
         """A counterexample from the non-empty assignment set ``diff``: the
         first in canonical order, or a uniform pick for ``random``."""
-        rank = 0 if self.strategy == "exhaustive" else self._rng.randrange(popcount(diff))
+        rank = self._draw_rank(popcount(diff))
         return Interpretation(self.universe, canonical_select(diff, self.universe, rank))
 
     def _check_hypothesis(self, hypothesis) -> None:
@@ -233,68 +187,92 @@ class MvdfInterpretationTeacher(_TeacherBase):
 class EntailmentTeacher(_TeacherBase):
     """Teacher whose examples are clauses entailed (or not) by the target.
 
-    ``kind`` picks the clause space: ``'horn'``, ``'quasi2'`` or ``'mvd'``.
+    ``kind`` picks the clause space: ``'horn'`` or ``'quasi2'``.
     Equivalence compares the sets of entailed clauses; a counterexample is
-    a clause entailed by exactly one of target and hypothesis.  A formula
-    entails a clause when none of its models violates it, so the target's
-    model set is built once and the hypothesis's once per equivalence query.
-    """
+    a clause entailed by exactly one of target and hypothesis.
 
-    _SPACES = {
-        "horn": enumerate_horn_clauses,
-        "quasi2": enumerate_quasi2_clauses,
-        "mvd": enumerate_mvd_clauses,
-    }
+    A formula entails ``X -> S`` exactly when none of its models contains
+    X and misses S, that is when X lies outside the down-closure of the
+    models missing S.  So each side keeps, per consequent set S, the
+    antecedents whose clause it does not entail: the target's sets are
+    built once, the hypothesis's once per equivalence query.  The space
+    runs through antecedents in the canonical mask order and, within one
+    antecedent, through consequent sets in the order of :meth:`_open_sets`.
+    """
 
     def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None,
                  cap=DEFAULT_ENUM_CAP):
         super().__init__(strategy, seed, script)
-        if kind not in self._SPACES:
+        if kind not in ("horn", "quasi2"):
             raise ValueError(f"unknown entailment kind {kind!r}")
         self.target = target
         self.kind = kind
         self.universe = target.universe
         self.cap = cap
-        self._target_models = model_bitset(target, cap)
+        self._target_open = self._open_sets(target)
 
-    def _space(self):
-        return self._SPACES[self.kind](self.universe)
+    def _open_sets(self, formula) -> dict:
+        """Map each consequent set S of the space to the antecedents X for
+        which ``formula`` does not entail ``X -> S``.
+
+        The keys run in the space's order within one antecedent: the empty
+        set, single variables ascending, then (``quasi2`` only) pairs in
+        lexicographic order.  A Horn clause has an empty consequent only at
+        X = V.
+        """
+        universe = self.universe
+        models = model_bitset(formula, self.cap)
+        singles = [1 << v for v in range(universe.n)]
+        if self.kind == "horn":
+            sets = {0: models & 1 << universe.full_mask}
+            consequents = singles
+        else:
+            sets = {}
+            consequents = [0, *singles, *(a | b for a, b in itertools.combinations(singles, 2))]
+        for s in consequents:
+            missing = models
+            for v in bit_indices(s):
+                missing &= ~universe.var_pattern(v)
+            sets[s] = down_closure(missing, universe)
+        return sets
 
     def membership_answer(self, example) -> bool:
         if example.universe != self.universe:
             raise UniverseMismatchError("membership query over the wrong universe")
         self.stats["membership_queries"] += 1
-        return self._target_models & violator_bitset(example) == 0
+        return not self._target_open[example.consequent_mask] >> example.antecedent & 1
 
     def equivalence_answer(self, hypothesis):
         self.stats["equivalence_queries"] += 1
         self._check_hypothesis(hypothesis)
-        models = model_bitset(hypothesis, self.cap)
+        hypothesis_open = self._open_sets(hypothesis)
+        diffs = {s: bits ^ hypothesis_open[s] for s, bits in self._target_open.items()}
         if self.strategy == "scripted":
             return self._scripted_answer(
-                lambda: self._first_difference(models) is not None,
-                lambda entry: self._separates(models, entry),
+                lambda: any(diffs.values()),
+                lambda entry: diffs[entry.consequent_mask] >> entry.antecedent & 1,
                 lambda number, entry: f"entry {number} ({format_clause(entry)})",
             )
-        if self.strategy == "exhaustive":
-            return self._first_difference(models)
-        differing = [clause for clause in self._space() if self._separates(models, clause)]
-        if not differing:
+        count = sum(bits.bit_count() for bits in diffs.values())
+        if not count:
             return None
-        return self._rng.choice(differing)
+        rank = self._draw_rank(count)
+        x, s = next(itertools.islice(self._differences(diffs), rank, None))
+        if self.kind == "horn":
+            return HornClause(self.universe, x, s.bit_length() - 1 if s else None)
+        return QuasiHorn2Clause(self.universe, x, frozenset(bit_indices(s)))
 
-    def _separates(self, hypothesis_models: int, clause) -> bool:
-        """Whether exactly one of target and hypothesis entails ``clause``."""
-        if clause.universe != self.universe:
-            raise UniverseMismatchError("clause universe differs from formula universe")
-        violators = violator_bitset(clause)
-        return (self._target_models & violators == 0) != (hypothesis_models & violators == 0)
-
-    def _first_difference(self, hypothesis_models: int):
-        for clause in self._space():
-            if self._separates(hypothesis_models, clause):
-                return clause
-        return None
+    def _differences(self, diffs: dict):
+        """The ``(X, S)`` pairs marked in ``diffs`` (S -> antecedent set), in
+        the space's order."""
+        union = 0
+        for bits in diffs.values():
+            union |= bits
+        for rank in range(union.bit_count()):
+            x = canonical_select(union, self.universe, rank)
+            for s, bits in diffs.items():
+                if bits >> x & 1:
+                    yield x, s
 
 
 def _clause_masks(formula) -> list:
@@ -342,9 +320,10 @@ class RelationTeacher(_TeacherBase):
     queries on more rows are checked with the holds-in-relation check.
     """
 
+    random_tries = 20  # candidate relations drawn per random counterexample
+
     def __init__(self, target: MvdFormula, schema: AttributeSchema,
-                 strategy="exhaustive", seed=0, script=None, cap=DEFAULT_ENUM_CAP,
-                 random_tries=20):
+                 strategy="exhaustive", seed=0, script=None, cap=DEFAULT_ENUM_CAP):
         super().__init__(strategy, seed, script)
         if schema.attributes != target.universe.names:
             raise UniverseMismatchError("schema does not match the target universe")
@@ -355,7 +334,6 @@ class RelationTeacher(_TeacherBase):
         self.schema = schema
         self.universe = target.universe
         self.cap = cap
-        self.random_tries = random_tries
         self._target_models = model_bitset(target, cap)
         self._target_masks = _clause_masks(target)
 
@@ -455,30 +433,27 @@ class RelationTeacher(_TeacherBase):
 # lines are ignored everywhere except inside CSV blocks.
 
 
-def parse_interpretation_script(text: str, universe: VariableUniverse) -> list:
+def _parse_lines(text: str, parse_line) -> list:
+    """``parse_line(body)`` of every line's text outside comments, skipping
+    blank lines; a :class:`ParseError` is numbered by its line."""
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         try:
-            entries.append(Interpretation.from_bits(universe, body))
+            entries.append(parse_line(body))
         except ParseError as exc:
             raise ParseError(str(exc), line_no) from None
     return entries
+
+
+def parse_interpretation_script(text: str, universe: VariableUniverse) -> list:
+    return _parse_lines(text, lambda body: Interpretation.from_bits(universe, body))
 
 
 def parse_clause_script(text: str, universe: VariableUniverse, kind: str) -> list:
-    entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        try:
-            entries.append(parse_clause(body, universe, kind))
-        except ParseError as exc:
-            raise ParseError(str(exc), line_no) from None
-    return entries
+    return _parse_lines(text, lambda body: parse_clause(body, universe, kind))
 
 
 def parse_relation_script(text: str) -> list:

@@ -26,10 +26,12 @@ throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
+    DEFAULT_ENUM_CAP,
     HornClause,
     HornFormula,
     Interpretation,
@@ -235,7 +237,8 @@ def _unit_closure(start: int, universe: VariableUniverse, derivable) -> int:
     return current
 
 
-def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
+def horn_f_eq(clause: HornClause, hypothesis, mem_entail,
+              cap: int = DEFAULT_ENUM_CAP) -> Interpretation:
     """Turn a Horn-clause counterexample into an assignment counterexample.
 
     When the hypothesis entails the clause (so the target does not), the
@@ -246,10 +249,11 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
     complete only for Horn-shaped hypotheses, so if the local closure fails
     to be a hypothesis model the first hypothesis model realizing the
     broken clause is taken instead (still without queries; one exists
-    exactly because the hypothesis does not entail the clause).
+    exactly because the hypothesis does not entail the clause).  ``cap``
+    is the enumeration cap of the hypothesis's model set.
     """
     universe = clause.universe
-    models = model_bitset(hypothesis)
+    models = model_bitset(hypothesis, cap)
     # a Horn clause's violators are exactly the assignments realizing it
     realizing = models & violator_bitset(clause)
     if not realizing:
@@ -275,21 +279,22 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
     return Interpretation(universe, mask)
 
 
-def horn_entailment_reduction() -> ReductionPair:
-    return ReductionPair(f_mem=horn_f_mem, f_eq=horn_f_eq)
+def horn_entailment_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
+    return ReductionPair(f_mem=horn_f_mem, f_eq=functools.partial(horn_f_eq, cap=cap))
 
 
-def mvdf_to_horn(formula: MvdFormula) -> HornFormula:
+def mvdf_to_horn(formula: MvdFormula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
     """Extract a Horn formula equivalent to ``formula``.
 
     Candidate clauses take any antecedent occurring in the formula with any
     entailed single consequent, plus the purely negative clause when the
     all-true assignment is excluded.  The result is verified equivalent by
     enumeration; a formula outside the Horn-expressible range raises
-    :class:`ConversionError` carrying the residual formula.
+    :class:`ConversionError` carrying the residual formula.  ``cap`` is the
+    enumeration cap of both model sets.
     """
     universe = formula.universe
-    models = model_bitset(formula)
+    models = model_bitset(formula, cap)
     clauses = []
     for x in dict.fromkeys(c.x_mask for c in formula.clauses):
         for v in range(universe.n):
@@ -301,7 +306,7 @@ def mvdf_to_horn(formula: MvdFormula) -> HornFormula:
     if not models >> universe.full_mask & 1:
         clauses.append(HornClause(universe, universe.full_mask, None))
     horn = HornFormula(universe, clauses)
-    if model_bitset(horn) != models:
+    if model_bitset(horn, cap) != models:
         raise ConversionError(
             "formula is not Horn-expressible under antecedent extraction",
             residual=formula,
@@ -309,7 +314,7 @@ def mvdf_to_horn(formula: MvdFormula) -> HornFormula:
     return horn
 
 
-def horn_envelope(formula) -> HornFormula:
+def horn_envelope(formula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
     """Strongest Horn consequence of ``formula``.
 
     The result entails exactly the Horn clauses ``formula`` entails; its
@@ -325,9 +330,10 @@ def horn_envelope(formula) -> HornFormula:
     ``A_v`` lacks m is the least variable outside m that every model
     containing m has, and ``m -> v`` is the clause emitted for m.  V is in the
     closure only when it is a model, and ``* -> F`` excludes it otherwise.
+    ``cap`` is the enumeration cap of the formula's model set.
     """
     universe = formula.universe
-    models = model_bitset(formula)
+    models = model_bitset(formula, cap)
     top = 1 << universe.full_mask
     closures = []
     closed = top - 1
@@ -463,7 +469,8 @@ def qh_ce_to_mvd(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> MvdClause:
     return MvdClause(universe, x, y, z)
 
 
-def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> Interpretation:
+def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi,
+                            cap: int = DEFAULT_ENUM_CAP) -> Interpretation:
     """Assignment counterexample matching a two-literal counterexample.
 
     Enumerates, in the canonical order, the assignments that make the
@@ -472,12 +479,13 @@ def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> 
     the first one that is a target model is returned, spending queries
     through :func:`qh_f_mem`; otherwise the first hypothesis model, with no
     queries.  Existence is guaranteed while the clause really separates
-    target and hypothesis.
+    target and hypothesis.  ``cap`` is the enumeration cap of the
+    hypothesis's model set.
     """
     universe = clause.universe
     violators = violator_bitset(clause)
-    if not entails(hypothesis, clause):
-        mask = canonical_select(model_bitset(hypothesis) & violators, universe, 0)
+    if not entails(hypothesis, clause, cap):
+        mask = canonical_select(model_bitset(hypothesis, cap) & violators, universe, 0)
         return Interpretation(universe, mask)
     for rank in range(violators.bit_count()):
         interp = Interpretation(universe, canonical_select(violators, universe, rank))
@@ -489,8 +497,10 @@ def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> 
     )
 
 
-def quasi2_reduction() -> ReductionPair:
-    return ReductionPair(f_mem=qh_f_mem, f_eq=qh_interp_ce_substitute)
+def quasi2_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
+    return ReductionPair(
+        f_mem=qh_f_mem, f_eq=functools.partial(qh_interp_ce_substitute, cap=cap)
+    )
 
 
 def learn_mvdf_from_quasi2(universe: VariableUniverse, mem_quasi, eq_quasi,

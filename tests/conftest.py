@@ -1,5 +1,6 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
+import itertools
 import os
 import random
 from pathlib import Path
@@ -13,13 +14,14 @@ from mvdlearn import (
     Interpretation,
     MvdClause,
     MvdFormula,
+    QuasiHorn2Clause,
     VariableUniverse,
     false_clause,
     parse_formula,
     satisfies,
     violates,
 )
-from mvdlearn.core import enum_masks, popcount
+from mvdlearn.core import bit_indices, enum_masks, popcount
 
 # Target and counterexample script of the worked golden run; the learner
 # must reproduce its intermediate states exactly.
@@ -60,6 +62,54 @@ def golden_target() -> MvdFormula:
 def golden_script(golden_target):
     u = golden_target.universe
     return [Interpretation.from_bits(u, b) for b in GOLDEN_SCRIPT_BITS]
+
+
+# ---------------------------------------------------------------------------
+# Clause-space enumerations, the reference orders of the entailment teacher
+#
+# Antecedents run in the canonical mask order (ascending size, then
+# lexicographic on index tuples).  Within one antecedent, Horn clauses list
+# consequents ascending and the purely negative clause appears for X = V;
+# two-literal clauses list the negative clause first, then single
+# consequents ascending, then pairs in lexicographic order; full-cover
+# implications list the empty-right-side clause first and then the proper
+# splits by ascending left side.
+
+
+def enumerate_horn_clauses(universe: VariableUniverse):
+    for x in enum_masks(universe.n):
+        if x == universe.full_mask:
+            yield HornClause(universe, x, None)
+            continue
+        for v in range(universe.n):
+            if not x >> v & 1:
+                yield HornClause(universe, x, v)
+
+
+def enumerate_quasi2_clauses(universe: VariableUniverse):
+    for x in enum_masks(universe.n):
+        yield QuasiHorn2Clause(universe, x, frozenset())
+        outside = [v for v in range(universe.n) if not x >> v & 1]
+        for v in outside:
+            yield QuasiHorn2Clause(universe, x, frozenset((v,)))
+        for v, w in itertools.combinations(outside, 2):
+            yield QuasiHorn2Clause(universe, x, frozenset((v, w)))
+
+
+def enumerate_mvd_clauses(universe: VariableUniverse):
+    for x in enum_masks(universe.n):
+        rest = universe.full_mask ^ x
+        if rest == 0:
+            yield MvdClause(universe, x, 0, 0)
+            continue
+        yield MvdClause(universe, x, rest, 0)
+        rest_bits = list(bit_indices(rest))
+        for size in range(1, len(rest_bits)):
+            for combo in itertools.combinations(rest_bits, size):
+                y = 0
+                for v in combo:
+                    y |= 1 << v
+                yield MvdClause(universe, x, y, rest ^ y)
 
 
 def numbered_universe(n: int) -> VariableUniverse:

@@ -37,7 +37,6 @@ from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
-    enumerate_quasi2_clauses,
     stats_snapshot,
 )
 from mvdlearn.cli import main as cli_main
@@ -46,6 +45,8 @@ from conftest import (
     GOLDEN_SCRIPT_BITS,
     GOLDEN_TARGET_TEXT,
     cli_child_env,
+    enumerate_mvd_clauses,
+    enumerate_quasi2_clauses,
     model_masks,
     numbered_universe,
     random_definite_horn,
@@ -255,8 +256,6 @@ def test_criterion_6_dependencies_from_relations():
 
     # pair-construction bridge: every assignment against every proper
     # clause, for universes up to 5
-    from mvdlearn.oracles import enumerate_mvd_clauses
-
     bridge_checks = 0
     for n in range(2, 6):
         u = numbered_universe(n)

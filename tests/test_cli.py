@@ -85,6 +85,20 @@ def test_learn_horn_both_example_kinds(tmp_path, capsys):
         assert "hypothesis:" in out
 
 
+def test_max_vars_above_the_default_cap_reaches_the_extraction(tmp_path):
+    # n = 25 is past the default cap of 24; the run, the teacher and the
+    # Horn extraction all enumerate under --max-vars
+    names = " ".join(str(i) for i in range(1, 26))
+    horn = tmp_path / "t.horn"
+    horn.write_text(f"vars: {names}\n1 2 -> 3\n")
+    args = ["learn-horn", "--target", str(horn), "--examples", "interpretations"]
+    code, _, err = _cli_bytes(args)
+    assert (code, err) == (2, "mvdlearn: universe has 25 variables, enumeration cap is 24\n")
+    code, out, err = _cli_bytes(args + ["--max-vars", "25"])
+    assert code == 0, err
+    assert b"  1 2 -> 3\n" in out
+
+
 def test_learn_mvd_and_learn_q(tmp_path, capsys):
     target = tmp_path / "t.mvdf"
     target.write_text("vars: A B C\nA -> B | C\n")

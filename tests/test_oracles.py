@@ -8,6 +8,7 @@ import mvdlearn.oracles
 from mvdlearn import (
     AttributeSchema,
     HornClause,
+    HornFormula,
     Interpretation,
     MvdFormula,
     OracleContractError,
@@ -18,12 +19,13 @@ from mvdlearn import (
     entails,
     equivalent,
     find_counterexample,
+    format_clause,
     mvd_holds,
     parse_clause,
     parse_formula,
     satisfies,
 )
-from mvdlearn.core import model_bitset
+from mvdlearn.core import model_bitset, violator_bitset
 from mvdlearn.learner import LearnerSession
 from mvdlearn.oracles import (
     EntailmentTeacher,
@@ -31,17 +33,22 @@ from mvdlearn.oracles import (
     RelationTeacher,
     _clause_masks,
     _candidate_holds,
-    enumerate_horn_clauses,
-    enumerate_mvd_clauses,
-    enumerate_quasi2_clauses,
     parse_clause_script,
     parse_interpretation_script,
     parse_relation_script,
     stats_snapshot,
 )
-from mvdlearn.reductions import relation_reduction, translate_oracles
+from mvdlearn.reductions import (
+    horn_entailment_reduction,
+    quasi2_reduction,
+    relation_reduction,
+    translate_oracles,
+)
 
 from conftest import (
+    enumerate_horn_clauses,
+    enumerate_mvd_clauses,
+    enumerate_quasi2_clauses,
     numbered_universe,
     random_clause,
     random_definite_horn,
@@ -166,11 +173,15 @@ def test_entailment_teacher_answers(golden_target):
     assert teacher.equivalence_answer(golden_target) is None
 
 
-@pytest.mark.parametrize("kind", ["horn", "quasi2", "mvd"])
+_SPACES = {"horn": enumerate_horn_clauses, "quasi2": enumerate_quasi2_clauses}
+
+
+@pytest.mark.parametrize("kind", ["horn", "quasi2"])
 def test_entailment_teacher_matches_entails_on_every_clause(kind):
-    # the teacher answers from model sets built once; the plain definition
-    # rebuilds the formula's models for every clause
+    # the teacher answers from down-closures of model sets built once; the
+    # plain definition rebuilds the formula's models for every clause
     rng = random.Random(4)
+    cases = []
     for n in range(2, 5):
         u = numbered_universe(n)
         for _ in range(6):
@@ -178,15 +189,28 @@ def test_entailment_teacher_matches_entails_on_every_clause(kind):
                 target = random_definite_horn(u, rng)
             else:
                 target = random_target(u, rng, max_clauses=3)
-            hypo = random_target(u, rng, max_clauses=3)
-            teacher = EntailmentTeacher(target, kind)
-            space = list(teacher._space())
-            for clause in space:
-                assert teacher.membership_answer(clause) == entails(target, clause)
-            first = next(
-                (c for c in space if entails(target, c) != entails(hypo, c)), None
-            )
-            assert teacher.equivalence_answer(hypo) == first
+            cases.append((target, random_target(u, rng, max_clauses=3)))
+    # no model of this target contains variable 1, so at X = {1} the clauses
+    # with an empty, a single and a pair consequent all separate it from the
+    # empty hypothesis
+    target = parse_formula(
+        "vars: 1 2 3\n* -> F\n1 2 -> 3 | -\n1 3 -> 2 | -\n1 -> 2 | 3\n", "mvd"
+    )
+    cases.append((target, MvdFormula(target.universe)))
+    for target, hypo in cases:
+        teacher = EntailmentTeacher(target, kind)
+        space = list(_SPACES[kind](target.universe))
+        for clause in space:
+            assert teacher.membership_answer(clause) == entails(target, clause)
+        first = next(
+            (c for c in space if entails(target, c) != entails(hypo, c)), None
+        )
+        assert teacher.equivalence_answer(hypo) == first
+
+
+def test_entailment_teacher_rejects_the_mvd_kind(golden_target):
+    with pytest.raises(ValueError, match="unknown entailment kind 'mvd'"):
+        EntailmentTeacher(golden_target, "mvd")
 
 
 def test_entailment_teacher_scripted_validation():
@@ -194,8 +218,6 @@ def test_entailment_teacher_scripted_validation():
     u = target.universe
     bogus = [HornClause(u, 0b001, 2)]  # 1 -> 3, entailed by neither side
     teacher = EntailmentTeacher(target, "horn", "scripted", script=bogus)
-    from mvdlearn import HornFormula
-
     with pytest.raises(OracleContractError, match="not a counterexample"):
         teacher.equivalence_answer(HornFormula(u))
 
@@ -569,6 +591,9 @@ def _record_run(target, make_teacher, strategy, seed):
     mem = teacher.membership_answer
     if isinstance(teacher, RelationTeacher):
         mem, eq = translate_oracles(relation_reduction(teacher.schema), mem, eq)
+    elif isinstance(teacher, EntailmentTeacher):
+        reduction = horn_entailment_reduction if teacher.kind == "horn" else quasi2_reduction
+        mem, eq = translate_oracles(reduction(), mem, eq)
     session = LearnerSession(target.universe, mem, eq)
     learned = session.run()
     return witnesses, learned, stats_snapshot(session), dict(teacher.stats)
@@ -592,3 +617,99 @@ def test_whole_runs_match_the_reference_witness_scan(make_teacher, strategy, mon
     )
     slow = [_record_run(t, make_teacher, strategy, seed) for seed, t in enumerate(targets)]
     assert fast == slow
+
+
+class _WalkingEntailmentTeacher(EntailmentTeacher):
+    """The entailment teacher that walks its clause space, kept as the
+    reference: membership and every separation test read one violator set
+    per clause; ``exhaustive`` takes the first separating clause of the
+    space and ``random`` a ``choice`` among all of them."""
+
+    def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None):
+        super().__init__(target, kind, strategy, seed, script)
+        self._target_models = model_bitset(target)
+
+    def membership_answer(self, example) -> bool:
+        if example.universe != self.universe:
+            raise UniverseMismatchError("membership query over the wrong universe")
+        self.stats["membership_queries"] += 1
+        return self._target_models & violator_bitset(example) == 0
+
+    def equivalence_answer(self, hypothesis):
+        self.stats["equivalence_queries"] += 1
+        self._check_hypothesis(hypothesis)
+        models = model_bitset(hypothesis)
+        if self.strategy == "scripted":
+            return self._scripted_answer(
+                lambda: self._first_difference(models) is not None,
+                lambda entry: self._separates(models, entry),
+                lambda number, entry: f"entry {number} ({format_clause(entry)})",
+            )
+        if self.strategy == "exhaustive":
+            return self._first_difference(models)
+        differing = [c for c in _SPACES[self.kind](self.universe) if self._separates(models, c)]
+        if not differing:
+            return None
+        return self._rng.choice(differing)
+
+    def _separates(self, hypothesis_models, clause) -> bool:
+        violators = violator_bitset(clause)
+        return (self._target_models & violators == 0) != (hypothesis_models & violators == 0)
+
+    def _first_difference(self, hypothesis_models):
+        for clause in _SPACES[self.kind](self.universe):
+            if self._separates(hypothesis_models, clause):
+                return clause
+        return None
+
+
+def _entailment_outcome(teacher_class, target, kind, strategy, seed, script=None):
+    """Witnesses, learned formula, counters and final RNG state of one
+    entailment run, or the message of the oracle error that ended it."""
+    teachers = []
+
+    def make_teacher(target, strategy, seed):
+        teachers.append(teacher_class(target, kind, strategy, seed, script))
+        return teachers[-1]
+
+    try:
+        record = _record_run(target, make_teacher, strategy, seed)
+    except OracleContractError as exc:
+        return str(exc)
+    return (*record, teachers[0]._rng.getstate())
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "random", "scripted"])
+@pytest.mark.parametrize("kind", ["horn", "quasi2"])
+def test_entailment_whole_runs_match_the_walking_teacher(kind, strategy):
+    rng = random.Random(31)
+    compared = errors = 0
+    for n in range(2, 9):
+        u = numbered_universe(n)
+        for seed in range(6):
+            if kind == "horn":
+                target = random_definite_horn(u, rng)
+            else:
+                target = random_target(u, rng, max_clauses=4)
+            scripts = [None]
+            if strategy == "scripted":
+                # the reference's random counterexamples, replayed whole, cut
+                # short, and with the last one moved to the front
+                witnesses = _entailment_outcome(
+                    _WalkingEntailmentTeacher, target, kind, "random", seed
+                )[0][:-1]
+                scripts = [witnesses, witnesses[: len(witnesses) // 2]]
+                if witnesses:
+                    scripts.append([witnesses[-1], *witnesses])
+            for script in scripts:
+                got = _entailment_outcome(
+                    EntailmentTeacher, target, kind, strategy, seed, script
+                )
+                expected = _entailment_outcome(
+                    _WalkingEntailmentTeacher, target, kind, strategy, seed, script
+                )
+                assert got == expected
+                compared += 1
+                errors += isinstance(got, str)
+    assert compared >= 42
+    assert (errors > 0) == (strategy == "scripted")

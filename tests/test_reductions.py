@@ -8,6 +8,7 @@ import pytest
 from mvdlearn import (
     AttributeSchema,
     ConversionError,
+    EnumerationCapError,
     HornClause,
     HornFormula,
     Interpretation,
@@ -39,13 +40,13 @@ from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
-    enumerate_quasi2_clauses,
 )
 from mvdlearn.core import bit_indices, enum_masks, model_bitset
 from mvdlearn.reductions import (
     ReductionPair,
     _unit_closure,
     compose,
+    horn_entailment_reduction,
     horn_envelope,
     horn_f_eq,
     horn_f_mem,
@@ -53,9 +54,12 @@ from mvdlearn.reductions import (
     qh_ce_to_mvd,
     qh_f_mem,
     qh_interp_ce_substitute,
+    quasi2_reduction,
 )
 
 from conftest import (
+    enumerate_horn_clauses,
+    enumerate_quasi2_clauses,
     numbered_universe,
     random_definite_horn,
     random_proper_clause,
@@ -277,7 +281,6 @@ def test_horn_f_eq_examples():
 
 def test_horn_f_eq_random_validity():
     rng = random.Random(77)
-    from mvdlearn.oracles import enumerate_horn_clauses
 
     checked = 0
     for _ in range(80):
@@ -350,7 +353,6 @@ def _reference_horn_f_eq(clause, hypothesis, mem_entail):
 
 def test_horn_f_eq_matches_the_reference_scan():
     rng = random.Random(606)
-    from mvdlearn.oracles import enumerate_horn_clauses
 
     paths = set()
     for _ in range(300):
@@ -378,6 +380,34 @@ def test_horn_f_eq_matches_the_reference_scan():
             )
             paths.add("local closure" if got[0].mask == local else "first model")
     assert paths == {"target closure", "local closure", "first model"}
+
+
+def test_reductions_and_extractions_take_the_enumeration_cap():
+    u = numbered_universe(4)
+    target = horn_formula_to_mvd(HornFormula(u, [HornClause(u, 0b0001, 1)]))
+    hypo = MvdFormula(u)
+
+    def mem(clause):
+        return entails(target, clause)
+
+    horn_ce = HornClause(u, 0b0001, 1)
+    quasi_ce = QuasiHorn2Clause(u, 0b0001, frozenset((1, 2)))
+    calls = [
+        lambda cap: horn_entailment_reduction(cap).f_eq(horn_ce, hypo, mem),
+        lambda cap: quasi2_reduction(cap).f_eq(quasi_ce, hypo, mem),
+        lambda cap: mvdf_to_horn(target, cap),
+        lambda cap: horn_envelope(target, cap),
+    ]
+    expected = [
+        horn_f_eq(horn_ce, hypo, mem),
+        qh_interp_ce_substitute(quasi_ce, hypo, mem),
+        mvdf_to_horn(target),
+        horn_envelope(target),
+    ]
+    for call, default in zip(calls, expected):
+        with pytest.raises(EnumerationCapError, match="enumeration cap is 3"):
+            call(3)
+        assert call(4) == default
 
 
 def test_mvdf_to_horn_reference_example():
@@ -417,7 +447,6 @@ def test_mvdf_to_horn_rejects_non_horn():
 
 def test_horn_envelope_properties():
     rng = random.Random(9)
-    from mvdlearn.oracles import enumerate_horn_clauses
 
     for _ in range(40):
         n = rng.randrange(2, 6)

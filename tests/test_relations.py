@@ -21,10 +21,9 @@ from mvdlearn import (
 )
 from mvdlearn.cli import main
 from mvdlearn.core import bit_indices, enum_masks
-from mvdlearn.oracles import enumerate_mvd_clauses
 from mvdlearn.relations import agreement_mask
 
-from conftest import numbered_universe, random_proper_clause
+from conftest import enumerate_mvd_clauses, numbered_universe, random_proper_clause
 
 
 def holds_direct(relation, clause):
