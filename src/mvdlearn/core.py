@@ -73,9 +73,10 @@ class VariableUniverse:
         self._index = {name: i for i, name in enumerate(names)}
         self._var_patterns = None
         self._layers = None
-        # keyed by clause kind and masks, never by the clause itself: a
-        # clause refers back to its universe, and that cycle would keep the
-        # cached bitsets alive until a full garbage collection
+        # the violator sets of the formula last given to model_bitset, keyed
+        # by clause kind and masks, never by the clause itself: a clause
+        # refers back to its universe, and that cycle would keep the cached
+        # bitsets alive until a full garbage collection
         self._violator_cache = {}
 
     @property
@@ -289,6 +290,22 @@ def down_closure(bits: int, universe: VariableUniverse) -> int:
     for v in range(universe.n):
         bits |= (bits & universe.var_pattern(v)) >> (1 << v)
     return bits
+
+
+def meet_above(bits: int, universe: VariableUniverse, mask: int) -> int:
+    """The AND of the masks marked in ``bits`` that contain ``mask``, or the
+    full mask when none does.
+
+    A variable outside ``mask`` is in the meet exactly when every marked
+    mask containing ``mask`` has it: one superset pattern, then one AND per
+    variable.
+    """
+    above = bits & universe.superset_pattern(mask)
+    meet = universe.full_mask
+    for v in bit_indices(universe.full_mask ^ mask):
+        if above & universe.var_pattern(v) != above:
+            meet ^= 1 << v
+    return meet
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +612,7 @@ def _cache_key(clause: Clause) -> tuple:
 
 
 def violator_bitset(clause: Clause) -> int:
-    """Bitset over all 2**n masks marking the assignments violating ``clause``.
-
-    The result is cached on the clause's universe, keyed by :func:`_cache_key`.
-    """
-    cache = clause.universe._violator_cache
-    key = _cache_key(clause)
-    bits = cache.get(key)
-    if bits is None:
-        bits = cache[key] = _violators(clause)
-    return bits
-
-
-def _violators(clause: Clause) -> int:
-    """The violator bitset of ``clause``, computed without the cache."""
+    """Bitset over all 2**n masks marking the assignments violating ``clause``."""
     universe = clause.universe
     if isinstance(clause, (MvdClause, SplitClause)):
         y, z = clause.y_mask, clause.z_mask
@@ -638,12 +642,25 @@ def model_bitset(formula, cap: int = DEFAULT_ENUM_CAP) -> int:
 
     The complement of the union of the clauses' violator sets: one OR per
     clause on non-negative ints, then a single XOR with the full set.
+
+    The universe keeps the violator sets of the formula whose model set it
+    last built, keyed by :func:`_cache_key`, and no others.  Consecutive
+    hypotheses share most of their clauses, so a rebuild computes only the
+    sets of the clauses that are new.
     """
     universe = formula.universe
     require_enumerable(universe, cap)
+    cache = universe._violator_cache
+    kept = {}
     violated = 0
     for clause in formula.clauses:
-        violated |= violator_bitset(clause)
+        key = _cache_key(clause)
+        bits = cache.get(key)
+        if bits is None:
+            bits = violator_bitset(clause)
+        kept[key] = bits
+        violated |= bits
+    universe._violator_cache = kept
     return ((1 << (1 << universe.n)) - 1) ^ violated
 
 
@@ -767,12 +784,13 @@ def _parse_clause_tokens(tokens: list[str], universe: VariableUniverse, kind: st
     lhs, rhs = tokens[:arrow], tokens[arrow + 1 :]
     x_mask = _parse_side(lhs, universe, line_no)
     if rhs == ["F"]:
+        if kind == "quasi2":
+            # any purely negative clause; the other kinds have only `* -> F`
+            return QuasiHorn2Clause(universe, x_mask, frozenset())
         if x_mask != universe.full_mask:
             raise ParseError("the F consequent requires `*` on the left", line_no)
         if kind == "horn":
             return HornClause(universe, universe.full_mask, None)
-        if kind == "quasi2":
-            return QuasiHorn2Clause(universe, x_mask, frozenset())
         return false_clause(universe)
     if kind == "mvd":
         if rhs.count("|") != 1:

@@ -22,11 +22,13 @@ class EnumerationCapError(MvdLearnError):
 class ParseError(MvdLearnError):
     """Malformed formula, clause, interpretation or script text.
 
-    Carries the 1-based line number when the source is a multi-line file.
+    Carries the 1-based line number when the source is a multi-line file;
+    ``detail`` is the message without it.
     """
 
     def __init__(self, message, line=None):
         self.line = line
+        self.detail = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -209,13 +209,14 @@ class EntailmentTeacher(_TeacherBase):
         self.kind = kind
         self.universe = target.universe
         self.cap = cap
-        self._target_open = self._open_sets(target)
+        self._target_open = dict(self._open_sets(target))
 
-    def _open_sets(self, formula) -> dict:
-        """Map each consequent set S of the space to the antecedents X for
-        which ``formula`` does not entail ``X -> S``.
+    def _open_sets(self, formula):
+        """Yield ``(S, antecedents)`` for each consequent set S of the space,
+        where the antecedents are the X for which ``formula`` does not
+        entail ``X -> S``.
 
-        The keys run in the space's order within one antecedent: the empty
+        The sets come in the space's order within one antecedent: the empty
         set, single variables ascending, then (``quasi2`` only) pairs in
         lexicographic order.  A Horn clause has an empty consequent only at
         X = V.
@@ -224,17 +225,15 @@ class EntailmentTeacher(_TeacherBase):
         models = model_bitset(formula, self.cap)
         singles = [1 << v for v in range(universe.n)]
         if self.kind == "horn":
-            sets = {0: models & 1 << universe.full_mask}
+            yield 0, models & 1 << universe.full_mask
             consequents = singles
         else:
-            sets = {}
             consequents = [0, *singles, *(a | b for a, b in itertools.combinations(singles, 2))]
         for s in consequents:
             missing = models
             for v in bit_indices(s):
                 missing &= ~universe.var_pattern(v)
-            sets[s] = down_closure(missing, universe)
-        return sets
+            yield s, down_closure(missing, universe)
 
     def membership_answer(self, example) -> bool:
         if example.universe != self.universe:
@@ -245,8 +244,7 @@ class EntailmentTeacher(_TeacherBase):
     def equivalence_answer(self, hypothesis):
         self.stats["equivalence_queries"] += 1
         self._check_hypothesis(hypothesis)
-        hypothesis_open = self._open_sets(hypothesis)
-        diffs = {s: bits ^ hypothesis_open[s] for s, bits in self._target_open.items()}
+        diffs = {s: self._target_open[s] ^ bits for s, bits in self._open_sets(hypothesis)}
         if self.strategy == "scripted":
             return self._scripted_answer(
                 lambda: any(diffs.values()),
@@ -444,7 +442,7 @@ def _parse_lines(text: str, parse_line) -> list:
         try:
             entries.append(parse_line(body))
         except ParseError as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise ParseError(exc.detail, line_no) from None
     return entries
 
 

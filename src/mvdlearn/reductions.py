@@ -40,11 +40,11 @@ from .core import (
     QuasiHorn2Clause,
     SplitClause,
     VariableUniverse,
-    _violators,
     bit_indices,
     canonical_select,
     down_closure,
     entails,
+    meet_above,
     model_bitset,
     violator_bitset,
 )
@@ -241,42 +241,29 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail,
               cap: int = DEFAULT_ENUM_CAP) -> Interpretation:
     """Turn a Horn-clause counterexample into an assignment counterexample.
 
-    When the hypothesis entails the clause (so the target does not), the
-    antecedent is closed under target-entailed unit consequences, spending
-    membership queries; the closure is a target model that breaks the
-    clause and hence the hypothesis.  Otherwise the closure runs against
-    the hypothesis locally and no queries are spent.  Unit propagation is
-    complete only for Horn-shaped hypotheses, so if the local closure fails
-    to be a hypothesis model the first hypothesis model realizing the
-    broken clause is taken instead (still without queries; one exists
-    exactly because the hypothesis does not entail the clause).  ``cap``
-    is the enumeration cap of the hypothesis's model set.
+    When the hypothesis does not entail the clause, the first hypothesis
+    model realizing it, in the canonical order, breaks the clause and is
+    returned without queries.  That model is the unit closure of the
+    antecedent under the hypothesis's entailed clauses whenever the closure
+    is a model: the closure is then the meet of the models containing the
+    antecedent, the least of them.  When the hypothesis entails the clause
+    (so the target does not), the antecedent is closed under
+    target-entailed unit consequences, spending membership queries; the
+    closure is a target model that breaks the clause and hence the
+    hypothesis.  ``cap`` is the enumeration cap of the hypothesis's model
+    set.
     """
     universe = clause.universe
-    models = model_bitset(hypothesis, cap)
     # a Horn clause's violators are exactly the assignments realizing it
-    realizing = models & violator_bitset(clause)
-    if not realizing:
-        closure = _unit_closure(
-            clause.antecedent,
-            universe,
-            lambda mask, v: mem_entail(HornClause(universe, mask, v)),
-        )
-        return Interpretation(universe, closure)
+    realizing = model_bitset(hypothesis, cap) & violator_bitset(clause)
+    if realizing:
+        return Interpretation(universe, canonical_select(realizing, universe, 0))
     closure = _unit_closure(
         clause.antecedent,
         universe,
-        lambda mask, v: models & violator_bitset(HornClause(universe, mask, v)) == 0,
+        lambda mask, v: mem_entail(HornClause(universe, mask, v)),
     )
-    if models >> closure & 1:
-        return Interpretation(universe, closure)
-    mask = canonical_select(realizing, universe, 0)
-    if mask is None:
-        raise OracleContractError(
-            "no hypothesis model realizes the clause counterexample; the clause "
-            "does not separate target and hypothesis"
-        )
-    return Interpretation(universe, mask)
+    return Interpretation(universe, closure)
 
 
 def horn_entailment_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
@@ -286,32 +273,40 @@ def horn_entailment_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
 def mvdf_to_horn(formula: MvdFormula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
     """Extract a Horn formula equivalent to ``formula``.
 
-    Candidate clauses take any antecedent occurring in the formula with any
-    entailed single consequent, plus the purely negative clause when the
-    all-true assignment is excluded.  The result is verified equivalent by
-    enumeration; a formula outside the Horn-expressible range raises
+    Candidate clauses take any antecedent x occurring in the formula with
+    any entailed single consequent, that is any variable outside x in the
+    meet of the models containing x, plus the purely negative clause when
+    the all-true assignment is excluded.  The result is verified equivalent
+    by enumeration; a formula outside the Horn-expressible range raises
     :class:`ConversionError` carrying the residual formula.  ``cap`` is the
-    enumeration cap of both model sets.
+    enumeration cap of the formula's model set.
     """
     universe = formula.universe
     models = model_bitset(formula, cap)
     clauses = []
     for x in dict.fromkeys(c.x_mask for c in formula.clauses):
-        for v in range(universe.n):
-            if x >> v & 1:
-                continue
-            candidate = HornClause(universe, x, v)
-            if models & violator_bitset(candidate) == 0:
-                clauses.append(candidate)
+        meet = meet_above(models, universe, x)
+        clauses.extend(HornClause(universe, x, v) for v in bit_indices(meet & ~x))
     if not models >> universe.full_mask & 1:
         clauses.append(HornClause(universe, universe.full_mask, None))
     horn = HornFormula(universe, clauses)
-    if model_bitset(horn, cap) != models:
+    if _checked_models(horn) != models:
         raise ConversionError(
             "formula is not Horn-expressible under antecedent extraction",
             residual=formula,
         )
     return horn
+
+
+def _checked_models(horn: HornFormula) -> int:
+    """The model set of an extracted Horn formula, built without
+    :func:`model_bitset`, whose cache would then hold one 2**n-bit set per
+    extracted clause: they are seldom asked about again, and an envelope
+    can have many."""
+    violated = 0
+    for clause in horn.clauses:
+        violated |= violator_bitset(clause)
+    return ((1 << (1 << horn.universe.n)) - 1) ^ violated
 
 
 def horn_envelope(formula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
@@ -350,12 +345,7 @@ def horn_envelope(formula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
         v = next(v for v, a_v in enumerate(closures) if not a_v >> m & 1)
         clauses.append(HornClause(universe, m, v))
     result = HornFormula(universe, clauses)
-    # checked on uncached violator sets: the envelope's clauses are seldom
-    # asked about again, and caching one 2**n-bit set per clause is costly
-    violated = 0
-    for clause in result.clauses:
-        violated |= _violators(clause)
-    if ((top << 1) - 1) ^ violated != closed:
+    if _checked_models(result) != closed:
         raise AssertionError("Horn envelope construction produced the wrong model set")
     return result
 

@@ -131,6 +131,18 @@ def test_entails_command(tmp_path, capsys):
     assert out.strip() == "yes"
 
 
+def test_entails_accepts_a_purely_negative_quasi2_clause(tmp_path, capsys):
+    # `a -> F` is how the quasi2 teacher prints the clause it answers this
+    # target's empty hypothesis with, so it must parse back
+    target = tmp_path / "t.mvdf"
+    target.write_text("vars: a b\na -> b | -\n* -> F\n")
+    code, out, err = run_main(
+        capsys,
+        ["entails", "--formula", str(target), "--clause", "a -> F", "--kind", "quasi2"],
+    )
+    assert (code, out, err) == (0, "yes\n", "")
+
+
 def test_check_mvd_command(tmp_path, capsys):
     csv_file = tmp_path / "data.csv"
     csv_file.write_text("A,B,C\nx,y,z\nx,y2,z2\n")
@@ -183,6 +195,19 @@ def test_relation_script_error_names_the_file_line(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "mvdlearn: row 7: expected 3 values, found 2\n"
+
+
+def test_clause_script_error_names_its_line_once(tmp_path, capsys):
+    target = tmp_path / "t.mvdf"
+    target.write_text("vars: a b c d\na -> b | c d\n")
+    script = tmp_path / "q.txt"
+    script.write_text("a -> b\n\nb -> zz\n")
+    code, out, err = run_main(
+        capsys,
+        ["learn-q", "--target", str(target), "--oracle", "script", "--script", str(script)],
+    )
+    assert (code, out) == (2, "")
+    assert err == "mvdlearn: line 3: unknown variable: 'zz'\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -36,9 +36,11 @@ from mvdlearn import (
     violates,
 )
 from mvdlearn.core import (
+    _cache_key,
     canonical_select,
     down_closure,
     enum_masks,
+    meet_above,
     model_bitset,
     popcount,
     satisfies_clause,
@@ -47,6 +49,7 @@ from mvdlearn.core import (
 
 from conftest import (
     GOLDEN_TARGET_TEXT,
+    enumerate_quasi2_clauses,
     numbered_universe,
     random_clause,
     random_definite_horn,
@@ -344,6 +347,26 @@ def test_down_closure_matches_the_set_definition():
             assert down_closure(bits, u) == expected
 
 
+def test_meet_above_matches_the_plain_definition():
+    rng = random.Random(1992)
+    empty_meets = 0
+    for n in range(1, 7):
+        u = numbered_universe(n)
+        size = 1 << n
+        sets = [0, (1 << size) - 1, 1] + [rng.getrandbits(size) >> rng.randrange(size)
+                                         for _ in range(30)]
+        for bits in sets:
+            marked = [m for m in range(size) if bits >> m & 1]
+            for mask in range(size):
+                above = [m for m in marked if m & mask == mask]
+                expected = u.full_mask
+                for m in above:
+                    expected &= m
+                empty_meets += not above
+                assert meet_above(bits, u, mask) == expected, (bits, mask)
+    assert empty_meets
+
+
 def _every_clause(u):
     """Every clause of every kind over ``u``."""
     n = u.n
@@ -419,6 +442,29 @@ def test_models_with_nonmodel_intersection_cover_the_universe():
         assert a.mask | b.mask == u.full_mask
         checked += 1
     assert checked > 5
+
+
+def test_the_violator_cache_holds_the_last_model_sets_clauses_only():
+    rng = random.Random(2024)
+    for trial in range(40):
+        u = numbered_universe(2 + trial % 5)
+        f = random_target(u, rng, max_clauses=4)
+        # g keeps some of f's clauses, drops the others and adds new ones
+        g = MvdFormula(u, [c for c in f.clauses if rng.random() < 0.5]
+                       + list(random_target(u, rng, max_clauses=3).clauses))
+        for formula in (f, g):
+            model_bitset(formula)
+            assert u._violator_cache == {
+                _cache_key(c): violator_bitset(c) for c in formula.clauses
+            }
+        before = dict(u._violator_cache)
+        probes = [*random_target(u, rng, max_clauses=3).clauses,
+                  HornClause(u, u.full_mask, None)]
+        for clause in probes:
+            violator_bitset(clause)
+        assert u._violator_cache == before
+        model_bitset(MvdFormula(u))
+        assert u._violator_cache == {}
 
 
 def test_find_counterexample_agrees_with_mutual_entailment():
@@ -560,6 +606,18 @@ def test_parse_clause_examples():
     u6 = numbered_universe(6)
     c = parse_clause("1 -> 2 3 | 4 5 6", u6)
     assert (c.x_mask, c.y_mask, c.z_mask) == (0b000001, 0b000110, 0b111000)
+
+
+def test_every_quasi2_clause_round_trips_through_the_text_format():
+    # a purely negative clause `X -> F` parses back for any X, not only *
+    for n in range(1, 5):
+        u = numbered_universe(n)
+        for clause in enumerate_quasi2_clauses(u):
+            assert parse_clause(format_clause(clause), u, "quasi2") == clause
+    u = numbered_universe(3)
+    for kind in ("mvd", "horn"):
+        with pytest.raises(ParseError, match="requires `\\*` on the left"):
+            parse_clause("1 -> F", u, kind)
 
 
 def test_parse_errors_carry_line_numbers():

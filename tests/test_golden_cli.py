@@ -14,6 +14,12 @@ message.
 `check-mvd` on `tests/golden/check-mvd.csv`, with one holding and one
 violated dependency, must print `tests/golden/check-mvd.stdout`; the CI
 workflow compares the installed console script with the same file.
+
+`entails` runs once per line of `tests/golden/entails.cases` (formula
+file, formula kind, clause kind and clause, tab-separated), with `yes` and
+`no` answers for every clause kind against `learn.mvdf` and
+`learn-horn.horn`; the answers in file order must equal
+`tests/golden/entails.stdout`.  The CI workflow reads the same cases file.
 """
 
 import contextlib
@@ -117,3 +123,16 @@ def test_check_mvd_bytes():
         assert (code, err) == (0, "")
         out += stdout
     assert out == (GOLDEN / "check-mvd.stdout").read_text()
+
+
+def test_entails_bytes():
+    out = ""
+    for line in (GOLDEN / "entails.cases").read_text().splitlines():
+        formula, formula_kind, kind, clause = line.split("\t")
+        code, stdout, err = run_cli([
+            "entails", "--formula", str(GOLDEN / formula), "--formula-kind", formula_kind,
+            "--kind", kind, "--clause", clause,
+        ])
+        assert (code, err) == (0, ""), line
+        out += stdout
+    assert out == (GOLDEN / "entails.stdout").read_text()

@@ -437,6 +437,48 @@ def test_mvdf_to_horn_round_trips_random_horn():
         assert equivalent(back, horn)
 
 
+def _reference_mvdf_to_horn(formula):
+    """The extraction that tested every candidate clause ``x -> v`` with
+    ``entails``, kept as the reference."""
+    universe = formula.universe
+    clauses = []
+    for x in dict.fromkeys(c.x_mask for c in formula.clauses):
+        for v in range(universe.n):
+            if x >> v & 1:
+                continue
+            candidate = HornClause(universe, x, v)
+            if entails(formula, candidate):
+                clauses.append(candidate)
+    if entails(formula, HornClause(universe, universe.full_mask, None)):
+        clauses.append(HornClause(universe, universe.full_mask, None))
+    horn = HornFormula(universe, clauses)
+    if not equivalent(horn, formula):
+        raise ConversionError("not Horn-expressible", residual=formula)
+    return horn
+
+
+def test_mvdf_to_horn_matches_the_candidate_scan():
+    rng = random.Random(1987)
+    outcomes = set()
+    for trial in range(600):
+        n = 2 + trial % 6
+        u = numbered_universe(n)
+        if trial % 3 == 0:
+            formula = horn_formula_to_mvd(random_definite_horn(u, rng))
+        else:
+            formula = random_target(u, rng, max_clauses=4)
+        try:
+            expected = _reference_mvdf_to_horn(formula).clauses
+        except ConversionError:
+            with pytest.raises(ConversionError):
+                mvdf_to_horn(formula)
+            outcomes.add("rejected")
+            continue
+        assert mvdf_to_horn(formula).clauses == expected
+        outcomes.add("extracted")
+    assert outcomes == {"rejected", "extracted"}
+
+
 def test_mvdf_to_horn_rejects_non_horn():
     u = numbered_universe(5)
     f = MvdFormula(u, [parse_clause("1 2 3 -> 4 | 5", u)])
@@ -529,10 +571,12 @@ def test_horn_envelope_matches_the_reference_closure():
 
 
 def test_horn_envelope_leaves_no_horn_clause_in_the_violator_cache():
-    # the envelope checks its own model set, but that check must not keep
-    # one 2**n-bit set per emitted clause on the universe
+    # the Horn extractions check their own model sets, and horn_f_eq closes
+    # antecedents on both sides, but none of them may keep one 2**n-bit set
+    # per Horn clause on the universe
     rng = random.Random(16)
     emitted = 0
+    translated = 0
     for trial in range(60):
         n = 2 + trial % 6
         u = numbered_universe(n)
@@ -541,7 +585,19 @@ def test_horn_envelope_leaves_no_horn_clause_in_the_violator_cache():
         emitted += len(got.clauses)
         assert not any(key[0] is HornClause for key in u._violator_cache)
         assert got.clauses == _reference_horn_envelope(formula).clauses
+
+        target = horn_formula_to_mvd(random_definite_horn(u, rng))
+        emitted += len(mvdf_to_horn(target).clauses)
+        assert not any(key[0] is HornClause for key in u._violator_cache)
+        separating = [
+            c for c in enumerate_horn_clauses(u) if entails(target, c) != entails(formula, c)
+        ]
+        if separating:
+            horn_f_eq(rng.choice(separating), formula, entail_oracle(target))
+            assert not any(key[0] is HornClause for key in u._violator_cache)
+            translated += 1
     assert emitted
+    assert translated
 
 
 def test_horn_i_via_mvdf_single_clause_target():
