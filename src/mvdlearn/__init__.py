@@ -11,7 +11,6 @@ from .core import (
     MvdClause,
     MvdFormula,
     QuasiHorn2Clause,
-    SplitClause,
     VariableUniverse,
     covers,
     entails,
@@ -65,7 +64,6 @@ from .reductions import (
     horn_f_eq,
     horn_f_mem,
     horn_i_via_mvdf,
-    interp_to_pair,
     learn_horn_from_entailments,
     learn_mvd_from_relations,
     learn_mvdf_from_quasi2,
@@ -81,6 +79,7 @@ from .relations import (
     Relation,
     agreement_interp,
     find_violating_pair,
+    interp_to_pair,
     mvd_holds,
     read_csv,
 )

@@ -13,11 +13,11 @@ violation semantics has three cases:
   (c) Y and Z both empty (the clause ``* -> F``): violated only by the
       all-true assignment.
 
-Plain Horn clauses, clauses with at most two positive literals, and
-implications whose sides need not cover the universe (``SplitClause``,
-read propositionally) are supported as well, since the oracles and the
-problem transformations in :mod:`mvdlearn.reductions` exchange all four
-kinds.
+Plain Horn clauses and clauses with at most two positive literals are
+supported as well, since the oracles and the problem transformations in
+:mod:`mvdlearn.reductions` exchange all three kinds.  Both are read as an
+antecedent mask and a consequent mask: violated when the antecedent is
+true and every consequent variable is false.
 
 Entailment and equivalence between formulas are decided by enumerating all
 ``2**n`` assignments; every assignment-set is held as one big integer whose
@@ -429,40 +429,7 @@ class QuasiHorn2Clause:
         return f"QuasiHorn2Clause({format_clause(self)!r})"
 
 
-@dataclass(frozen=True)
-class SplitClause:
-    """Implication ``X -> Y | Z`` read propositionally, sides need not cover V.
-
-    Satisfied by I when X true implies all of Y true or all of Z true; an
-    empty side reads as the constant true.  This differs from
-    :class:`MvdClause` exactly on empty sides, which there follow the
-    covered-clause case analysis instead.
-    """
-
-    universe: VariableUniverse
-    x_mask: int
-    y_mask: int
-    z_mask: int
-
-    def __post_init__(self):
-        full = self.universe.full_mask
-        x, y, z = self.x_mask, self.y_mask, self.z_mask
-        if x & y or x & z or y & z:
-            raise ValueError("clause sides must be pairwise disjoint")
-        if (x | y | z) & ~full:
-            raise ValueError("clause sides outside the universe")
-
-    def __repr__(self):
-        u = self.universe
-        return (
-            "SplitClause("
-            f"{' '.join(u.names_of(self.x_mask)) or '-'} -> "
-            f"{' '.join(u.names_of(self.y_mask)) or '-'} | "
-            f"{' '.join(u.names_of(self.z_mask)) or '-'})"
-        )
-
-
-Clause = Union[MvdClause, HornClause, QuasiHorn2Clause, SplitClause]
+Clause = Union[MvdClause, HornClause, QuasiHorn2Clause]
 
 
 # ---------------------------------------------------------------------------
@@ -554,32 +521,12 @@ def violates(interp: Interpretation, clause: MvdClause) -> bool:
 def _satisfies_clause(interp: Interpretation, clause: Clause) -> bool:
     if isinstance(clause, MvdClause):
         return not violates(interp, clause)
-    if isinstance(clause, HornClause):
-        if interp.mask & clause.antecedent != clause.antecedent:
-            return True
-        if clause.consequent is None:
-            return False
-        return bool(interp.mask >> clause.consequent & 1)
-    if isinstance(clause, QuasiHorn2Clause):
-        if interp.mask & clause.antecedent != clause.antecedent:
-            return True
-        return bool(interp.mask & clause.consequent_mask)
-    if isinstance(clause, SplitClause):
-        if interp.mask & clause.x_mask != clause.x_mask:
-            return True
-        if clause.y_mask == 0 or clause.z_mask == 0:
-            return True
+    if isinstance(clause, (HornClause, QuasiHorn2Clause)):
         return (
-            interp.mask & clause.y_mask == clause.y_mask
-            or interp.mask & clause.z_mask == clause.z_mask
+            interp.mask & clause.antecedent != clause.antecedent
+            or bool(interp.mask & clause.consequent_mask)
         )
     raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
-
-
-def satisfies_clause(interp: Interpretation, clause: Clause) -> bool:
-    """Satisfaction under the clause kind's own semantics."""
-    _require_same_universe(interp, clause)
-    return _satisfies_clause(interp, clause)
 
 
 def satisfies(interp: Interpretation, formula) -> bool:
@@ -602,19 +549,17 @@ def satisfies(interp: Interpretation, formula) -> bool:
 
 def _cache_key(clause: Clause) -> tuple:
     """The clause's kind and masks: its identity within one universe."""
-    if isinstance(clause, (MvdClause, SplitClause)):
-        return (type(clause), clause.x_mask, clause.y_mask, clause.z_mask)
-    if isinstance(clause, HornClause):
-        return (HornClause, clause.antecedent, clause.consequent)
-    if isinstance(clause, QuasiHorn2Clause):
-        return (QuasiHorn2Clause, clause.antecedent, clause.consequents)
+    if isinstance(clause, MvdClause):
+        return (MvdClause, clause.x_mask, clause.y_mask, clause.z_mask)
+    if isinstance(clause, (HornClause, QuasiHorn2Clause)):
+        return (type(clause), clause.antecedent, clause.consequent_mask)
     raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
 
 
 def violator_bitset(clause: Clause) -> int:
     """Bitset over all 2**n masks marking the assignments violating ``clause``."""
     universe = clause.universe
-    if isinstance(clause, (MvdClause, SplitClause)):
+    if isinstance(clause, MvdClause):
         y, z = clause.y_mask, clause.z_mask
         if y and z:
             bits = (
@@ -622,8 +567,6 @@ def violator_bitset(clause: Clause) -> int:
                 & ~universe.superset_pattern(y)
                 & ~universe.superset_pattern(z)
             )
-        elif isinstance(clause, SplitClause):
-            bits = 0  # an empty side reads as true
         elif y or z:
             bits = 0
             for v in bit_indices(y | z):
@@ -668,8 +611,8 @@ def entails(formula, clause: Clause, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """True when every model of ``formula`` satisfies ``clause``.
 
     The clause is judged under its own kind's semantics, so the same call
-    works for full-cover implications, Horn clauses, two-literal clauses
-    and split implications.
+    works for full-cover implications, Horn clauses and two-literal
+    clauses.
     """
     if clause.universe != formula.universe:
         raise UniverseMismatchError("clause universe differs from formula universe")
@@ -895,14 +838,8 @@ def format_clause(clause) -> str:
             if low_z < low_y:
                 y, z = z, y
         return f"{side(clause.x_mask)} -> {side(y)} | {side(z)}"
-    if isinstance(clause, HornClause):
-        if clause.consequent is None:
-            return "* -> F"
-        return f"{side(clause.antecedent)} -> {universe.names[clause.consequent]}"
-    if isinstance(clause, QuasiHorn2Clause):
-        if not clause.consequents:
-            return f"{side(clause.antecedent)} -> F"
-        names = " ".join(universe.names[v] for v in sorted(clause.consequents))
+    if isinstance(clause, (HornClause, QuasiHorn2Clause)):
+        names = " ".join(universe.names_of(clause.consequent_mask)) or "F"
         return f"{side(clause.antecedent)} -> {names}"
     raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
 

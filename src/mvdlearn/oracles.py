@@ -41,12 +41,12 @@ from .core import (
     popcount,
 )
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
-from .reductions import interp_to_pair
 from .relations import (
     AttributeSchema,
     Relation,
     agreement_mask,
     binary_row,
+    interp_to_pair,
     mvd_holds,
     read_csv,
 )

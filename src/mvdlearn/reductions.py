@@ -38,7 +38,6 @@ from .core import (
     MvdClause,
     MvdFormula,
     QuasiHorn2Clause,
-    SplitClause,
     VariableUniverse,
     bit_indices,
     canonical_select,
@@ -50,7 +49,13 @@ from .core import (
 )
 from .errors import ConversionError, OracleContractError, UniverseMismatchError
 from .learner import learn
-from .relations import AttributeSchema, Relation, agreement_mask, binary_row, mvd_holds
+from .relations import (
+    AttributeSchema,
+    Relation,
+    agreement_mask,
+    interp_to_pair,
+    mvd_holds,
+)
 
 @dataclass(frozen=True)
 class ReductionPair:
@@ -102,21 +107,6 @@ def compose(reduction: ReductionPair, inner_learner):
 
 # ---------------------------------------------------------------------------
 # Data relations -> truth assignments
-
-
-def interp_to_pair(interp: Interpretation, schema: AttributeSchema) -> Relation:
-    """Two rows agreeing exactly on the true variables of ``interp``.
-
-    Disagreeing columns take the fresh values "0"/"1"; any injective choice
-    works.  For a proper dependency the pair fails the dependency exactly
-    when the assignment violates the matching clause, and the all-true
-    assignment collapses to a single-row relation.
-    """
-    if schema.attributes != interp.universe.names:
-        raise UniverseMismatchError("schema does not match the assignment universe")
-    return Relation(schema, (
-        binary_row(0, schema.arity), binary_row(interp.false_mask, schema.arity)
-    ))
 
 
 def _pair_holds(agree: int, clauses) -> bool:
@@ -207,9 +197,13 @@ def horn_f_mem(interp: Interpretation, mem_entail) -> bool:
     """Decide modelhood of an assignment with Horn-entailment queries.
 
     Asks ``true(I) -> z`` for every false variable z; the assignment is a
-    model exactly when no such clause is entailed.  Costs at most n queries.
+    model exactly when no such clause is entailed.  The all-true assignment
+    has no false variable and is a model unless ``* -> F`` is entailed.
+    Costs at most n queries.
     """
     universe = interp.universe
+    if not interp.false_mask:
+        return not mem_entail(HornClause(universe, universe.full_mask, None))
     for z in bit_indices(interp.false_mask):
         if mem_entail(HornClause(universe, interp.mask, z)):
             return False
@@ -440,11 +434,15 @@ def qh_ce_to_mvd(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> MvdClause:
     x = clause.antecedent
     models = model_bitset(hypothesis)
     grow_against_hypothesis = models & violator_bitset(clause) == 0
+    sup = universe.superset_pattern
+    # the grown sides need not cover V: read propositionally, X -> Y | Z
+    # holds in the hypothesis when no model above X misses a variable of Y
+    # and one of Z
+    above = models & sup(x)
     y, z = 1 << v, 1 << w
     for cand in bit_indices(universe.full_mask & ~(x | y | z)):
         if grow_against_hypothesis:
-            grown = SplitClause(universe, x, y | (1 << cand), z)
-            extend_left = models & violator_bitset(grown) == 0
+            extend_left = above & ~sup(y | 1 << cand) & ~sup(z) == 0
         else:
             # target side: the pairs within the current sides are already
             # entailed, so only the new variable's pairs need queries

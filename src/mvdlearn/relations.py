@@ -194,6 +194,21 @@ def agreement_mask(t: Row, t2: Row) -> int:
     return int(bytes(map(operator.eq, t, t2)).translate(_DIGITS)[::-1], 2)
 
 
+def interp_to_pair(interp: Interpretation, schema: AttributeSchema) -> Relation:
+    """Two rows agreeing exactly on the true variables of ``interp``.
+
+    Disagreeing columns take the fresh values "0"/"1"; any injective choice
+    works.  For a proper dependency the pair fails the dependency exactly
+    when the assignment violates the matching clause, and the all-true
+    assignment collapses to a single-row relation.
+    """
+    if schema.attributes != interp.universe.names:
+        raise UniverseMismatchError("schema does not match the assignment universe")
+    return Relation(schema, (
+        binary_row(0, schema.arity), binary_row(interp.false_mask, schema.arity)
+    ))
+
+
 def agreement_interp(t: Row, t2: Row, universe: VariableUniverse) -> Interpretation:
     """Assignment whose true variables are the positions where the rows agree."""
     if len(t) != universe.n or len(t2) != universe.n:

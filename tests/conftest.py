@@ -184,6 +184,21 @@ def model_masks(formula) -> list:
     ]
 
 
+def split_satisfied(mask: int, x: int, y: int, z: int) -> bool:
+    """``X -> Y | Z`` read propositionally, with sides that need not cover
+    the universe: X true implies all of Y true or all of Z true, and an
+    empty side reads as the constant true."""
+    return (
+        mask & x != x or not y or not z or mask & y == y or mask & z == z
+    )
+
+
+def entails_split(formula, x: int, y: int, z: int) -> bool:
+    """Whether every model of ``formula`` satisfies the split reading of
+    ``X -> Y | Z``."""
+    return all(split_satisfied(m, x, y, z) for m in model_masks(formula))
+
+
 def random_negative_example(target: MvdFormula, rng: random.Random):
     """An assignment with at least two false variables that breaks the target,
     or None when none exists."""

@@ -3,9 +3,11 @@
 import csv
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+from mvdlearn import equivalent, parse_formula
 from mvdlearn.cli import main
 
 from conftest import GOLDEN_TARGET_TEXT, cli_child_env
@@ -83,6 +85,22 @@ def test_learn_horn_both_example_kinds(tmp_path, capsys):
         )
         assert code == 0, err
         assert "hypothesis:" in out
+
+
+def test_learn_horn_from_entailments_keeps_the_false_clause(tmp_path, capsys):
+    # the all-true assignment breaks `* -> F`, and only a query can say so
+    horn = tmp_path / "t.horn"
+    horn.write_text("vars: 1 2 3\n1 -> 2\n* -> F\n")
+    target = parse_formula(horn.read_text(), "horn")
+    for oracle in (["exhaustive"], ["random", "--seed", "3"]):
+        code, out, err = run_main(
+            capsys,
+            ["learn-horn", "--target", str(horn), "--examples", "entailments",
+             "--oracle", *oracle],
+        )
+        assert (code, err) == (0, "")
+        body = out.split("hypothesis:\n")[1].split("stats:")[0]
+        assert equivalent(parse_formula(textwrap.dedent(body), "horn"), target)
 
 
 def test_max_vars_above_the_default_cap_reaches_the_extraction(tmp_path):

@@ -16,7 +16,6 @@ from mvdlearn import (
     MvdFormula,
     ParseError,
     QuasiHorn2Clause,
-    SplitClause,
     UniverseMismatchError,
     VariableUniverse,
     covers,
@@ -43,17 +42,19 @@ from mvdlearn.core import (
     meet_above,
     model_bitset,
     popcount,
-    satisfies_clause,
     violator_bitset,
 )
 
 from conftest import (
     GOLDEN_TARGET_TEXT,
+    entails_split,
+    enumerate_horn_clauses,
     enumerate_quasi2_clauses,
     numbered_universe,
     random_clause,
     random_definite_horn,
     random_target,
+    split_satisfied,
 )
 
 
@@ -93,13 +94,6 @@ def _direct_clause_satisfied(true_names, clause):
         if not ant <= true_names:
             return True
         return any(u.names[v] in true_names for v in clause.consequents)
-    if isinstance(clause, SplitClause):
-        x = set(u.names_of(clause.x_mask))
-        y = set(u.names_of(clause.y_mask))
-        z = set(u.names_of(clause.z_mask))
-        if not x <= true_names:
-            return True
-        return (not y) or (not z) or y <= true_names or z <= true_names
     raise TypeError(type(clause))
 
 
@@ -215,19 +209,18 @@ def test_proper_clause_matches_propositional_split_reading():
         n = rng.randrange(2, 7)
         u = numbered_universe(n)
         c = random_clause(u, rng, allow_degenerate=False)
-        split = SplitClause(u, c.x_mask, c.y_mask, c.z_mask)
         for m in range(1 << n):
             i = Interpretation(u, m)
-            assert (not violates(i, c)) == satisfies_clause(i, split)
+            split = split_satisfied(m, c.x_mask, c.y_mask, c.z_mask)
+            assert (not violates(i, c)) == split
 
 
 def test_empty_side_clause_differs_from_split_reading():
     u = numbered_universe(4)
     c = parse_clause("1 -> 2 3 4 | -", u)
-    split = SplitClause(u, c.x_mask, c.y_mask, 0)
     witness = Interpretation.from_bits(u, "1110")
     assert violates(witness, c)
-    assert satisfies_clause(witness, split)
+    assert split_satisfied(witness.mask, c.x_mask, c.y_mask, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +275,7 @@ def test_entails_supports_every_clause_kind():
     u = numbered_universe(4)
     f = parse_formula("vars: 1 2 3 4\n1 -> 2 | 3 4\n", "mvd")
     assert entails(f, QuasiHorn2Clause(u, 0b0001, frozenset((1, 2))))
-    assert entails(f, SplitClause(u, 0b0001, 0b0010, 0b1100))
+    assert entails_split(f, 0b0001, 0b0010, 0b1100)
     assert not entails(f, HornClause(u, 0b0001, 1))
 
 
@@ -368,7 +361,7 @@ def test_meet_above_matches_the_plain_definition():
 
 
 def _every_clause(u):
-    """Every clause of every kind over ``u``."""
+    """Every clause of each of the three kinds over ``u``."""
     n = u.n
     clauses = [HornClause(u, u.full_mask, None)]
     for x in range(1 << n):
@@ -379,14 +372,12 @@ def _every_clause(u):
             for size in range(3)
             for consequents in itertools.combinations(outside, size)
         ]
-    # every variable in X, Y, Z or none of them
-    for sides in itertools.product(range(4), repeat=n):
+    # every variable in X, Y or Z
+    for sides in itertools.product(range(3), repeat=n):
         x, y, z = (
             sum(1 << v for v in range(n) if sides[v] == side) for side in range(3)
         )
-        clauses.append(SplitClause(u, x, y, z))
-        if x | y | z == u.full_mask:
-            clauses.append(MvdClause(u, x, y, z))
+        clauses.append(MvdClause(u, x, y, z))
     return clauses
 
 
@@ -397,7 +388,9 @@ def test_violator_bitset_matches_the_direct_definition_for_every_kind():
         for clause in clauses:
             expected = 0
             for m in range(1 << n):
-                if not _direct_clause_satisfied(set(u.names_of(m)), clause):
+                direct = _direct_clause_satisfied(set(u.names_of(m)), clause)
+                assert satisfies(Interpretation(u, m), [clause]) == direct, (clause, m)
+                if not direct:
                     expected |= 1 << m
             assert violator_bitset(clause) == expected, clause
 
@@ -614,10 +607,34 @@ def test_every_quasi2_clause_round_trips_through_the_text_format():
         u = numbered_universe(n)
         for clause in enumerate_quasi2_clauses(u):
             assert parse_clause(format_clause(clause), u, "quasi2") == clause
+        for clause in enumerate_horn_clauses(u):
+            assert parse_clause(format_clause(clause), u, "horn") == clause
     u = numbered_universe(3)
     for kind in ("mvd", "horn"):
         with pytest.raises(ParseError, match="requires `\\*` on the left"):
             parse_clause("1 -> F", u, kind)
+
+
+def _per_kind_format(clause):
+    """The text of a Horn or two-literal clause, one branch per kind."""
+    u = clause.universe
+    ant = clause.antecedent
+    left = "-" if ant == 0 else "*" if ant == u.full_mask else " ".join(u.names_of(ant))
+    if isinstance(clause, HornClause):
+        if clause.consequent is None:
+            return "* -> F"
+        return f"{left} -> {u.names[clause.consequent]}"
+    if not clause.consequents:
+        return f"{left} -> F"
+    return f"{left} -> " + " ".join(u.names[v] for v in sorted(clause.consequents))
+
+
+def test_horn_and_quasi2_clauses_print_as_the_per_kind_formatter():
+    for n in range(1, 6):
+        u = VariableUniverse([f"v{n - i}" for i in range(n)])  # names not sorted
+        clauses = [*enumerate_horn_clauses(u), *enumerate_quasi2_clauses(u)]
+        for clause in clauses:
+            assert format_clause(clause) == _per_kind_format(clause), clause
 
 
 def test_parse_errors_carry_line_numbers():

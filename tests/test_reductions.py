@@ -17,7 +17,6 @@ from mvdlearn import (
     OracleContractError,
     QuasiHorn2Clause,
     Relation,
-    SplitClause,
     agreement_interp,
     entails,
     equivalent,
@@ -58,6 +57,7 @@ from mvdlearn.reductions import (
 )
 
 from conftest import (
+    entails_split,
     enumerate_horn_clauses,
     enumerate_quasi2_clauses,
     numbered_universe,
@@ -704,16 +704,61 @@ def test_qh_ce_to_mvd_target_side_keeps_split_entailed():
         got = qh_ce_to_mvd(clause, hypo, entail_oracle(target))
         v, w = sorted(clause.consequents)
         y, z = 1 << v, 1 << w
-        assert entails(target, SplitClause(u, clause.antecedent, y, z))
+        assert entails_split(target, clause.antecedent, y, z)
         for cand in bit_indices(u.full_mask & ~(clause.antecedent | y | z)):
-            if entails(target, SplitClause(u, clause.antecedent, y | (1 << cand), z)):
+            if entails_split(target, clause.antecedent, y | (1 << cand), z):
                 y |= 1 << cand
             else:
                 z |= 1 << cand
-            assert entails(target, SplitClause(u, clause.antecedent, y, z))
+            assert entails_split(target, clause.antecedent, y, z)
         assert (got.y_mask, got.z_mask) == (y, z)
         replayed += 1
     assert replayed > 20
+
+
+def _reference_qh_ce_to_mvd(clause, hypothesis, mem_quasi):
+    """The growth that judged each hypothesis-side step as the entailment
+    of a split implication ``X -> Y | Z`` whose sides need not cover V,
+    kept as the reference."""
+    universe = clause.universe
+    v, w = sorted(clause.consequents)
+    x = clause.antecedent
+    grow_against_hypothesis = entails(hypothesis, clause)
+    y, z = 1 << v, 1 << w
+    for cand in bit_indices(universe.full_mask & ~(x | y | z)):
+        if grow_against_hypothesis:
+            extend_left = entails_split(hypothesis, x, y | (1 << cand), z)
+        else:
+            extend_left = all(
+                mem_quasi(QuasiHorn2Clause(universe, x, frozenset((cand, zb))))
+                for zb in bit_indices(z)
+            )
+        if extend_left:
+            y |= 1 << cand
+        else:
+            z |= 1 << cand
+    return MvdClause(universe, x, y, z)
+
+
+def test_qh_ce_to_mvd_matches_the_split_growth():
+    rng = random.Random(446)
+    sides = set()
+    for n in range(3, 8):
+        u = numbered_universe(n)
+        for _ in range(40):
+            target = random_target(u, rng, max_clauses=3)
+            hypo = random_target(u, rng, max_clauses=3)
+            pairs = [c for c in enumerate_quasi2_clauses(u) if len(c.consequents) == 2]
+            separating = [c for c in pairs if entails(target, c) != entails(hypo, c)]
+            pool = separating if separating and rng.random() < 0.8 else pairs
+            clause = rng.choice(pool)
+            got = _recorded_entailment_run(qh_ce_to_mvd, clause, hypo, target)
+            expected = _recorded_entailment_run(
+                _reference_qh_ce_to_mvd, clause, hypo, target
+            )
+            assert got == expected, (clause, hypo, target)
+            sides.add("hypothesis" if entails(hypo, clause) else "target")
+    assert sides == {"hypothesis", "target"}
 
 
 def test_qh_interp_ce_substitute_reference(golden_target):
@@ -823,10 +868,14 @@ def test_membership_transforms_agree_with_destination_membership():
         u = numbered_universe(n)
         interp = Interpretation(u, rng.getrandbits(n) & u.full_mask)
 
-        horn_target = random_definite_horn(u, rng)
-        assert horn_f_mem(interp, entail_oracle(horn_target)) == satisfies(
-            interp, horn_target
-        )
+        definite = random_definite_horn(u, rng)
+        # the all-true assignment is the one only `* -> F` excludes
+        negative = HornFormula(u, [*definite, HornClause(u, u.full_mask, None)])
+        for horn_target in (definite, negative):
+            for i in (interp, Interpretation(u, u.full_mask)):
+                assert horn_f_mem(i, entail_oracle(horn_target)) == satisfies(
+                    i, horn_target
+                )
 
         quasi_target = random_target(u, rng, max_clauses=3)
         assert qh_f_mem(interp, entail_oracle(quasi_target)) == satisfies(
