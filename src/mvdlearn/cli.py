@@ -48,8 +48,6 @@ from .oracles import (
 )
 from .reductions import (
     horn_entailment_reduction,
-    horn_envelope,
-    horn_from_entailment_run,
     mvdf_to_horn,
     quasi2_reduction,
     relation_reduction,
@@ -234,11 +232,7 @@ _LEARNING = {
         "horn", "horn",
         lambda target, *opts: EntailmentTeacher(target, "horn", *opts),
         lambda teacher: horn_entailment_reduction(teacher.cap), 2,
-        lambda learned, cap: horn_from_entailment_run(
-            learned,
-            lambda formula: mvdf_to_horn(formula, cap),
-            lambda formula: horn_envelope(formula, cap),
-        ),
+        lambda learned, cap: mvdf_to_horn(learned, cap, strict=False),
     ),
     "learn-q": _Learning(
         "mvd", "quasi2",

@@ -13,7 +13,9 @@ framework.
 Three concrete pairs are provided:
 
 * data relations    -> truth assignments (dependency discovery from data);
-* Horn entailments  -> truth assignments (with a Horn extraction at the end);
+* Horn entailments  -> truth assignments (with a Horn extraction at the end,
+  :func:`mvdf_to_horn`, which builds the Duquenne-Guigues basis of the
+  learned models);
 * two-literal-clause entailments -> truth assignments.
 
 For the last pair the counterexample translation walks the assignments
@@ -264,84 +266,55 @@ def horn_entailment_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
     return ReductionPair(f_mem=horn_f_mem, f_eq=functools.partial(horn_f_eq, cap=cap))
 
 
-def mvdf_to_horn(formula: MvdFormula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
-    """Extract a Horn formula equivalent to ``formula``.
+def mvdf_to_horn(formula, cap: int = DEFAULT_ENUM_CAP, strict: bool = True) -> HornFormula:
+    """The Duquenne-Guigues basis of ``formula``'s models.
 
-    Candidate clauses take any antecedent x occurring in the formula with
-    any entailed single consequent, that is any variable outside x in the
-    meet of the models containing x, plus the purely negative clause when
-    the all-true assignment is excluded.  The result is verified equivalent
-    by enumeration; a formula outside the Horn-expressible range raises
-    :class:`ConversionError` carrying the residual formula.  ``cap`` is the
+    The models and V are the closed masks, and the closure of a mask is
+    the meet of the closed masks above it.  The premises are the
+    pseudo-closed masks: each is the least mask, in the canonical order,
+    that is not closed and contains the closure of every earlier premise it
+    contains.  For a premise p with closure c, ``p -> v`` is emitted for
+    every v in c outside p, ascending; ``* -> F`` follows when V is not a
+    model.  The basis is the smallest Horn formula with these models, and
+    it depends on the models alone.
+
+    A premise equal to its own closure is a meet of models that is not a
+    model: the models are not closed under intersection, and no Horn
+    formula has them.  With ``strict`` that raises :class:`ConversionError`
+    carrying ``formula``.  Otherwise the closed masks become the
+    intersection closure of the models, where a mask m is closed when, for
+    every variable v outside m, some model containing m lacks v; the basis
+    is then that of the strongest Horn consequence of ``formula``.  No
+    closure changes, so the premises found so far stay.  ``cap`` is the
     enumeration cap of the formula's model set.
     """
     universe = formula.universe
-    models = model_bitset(formula, cap)
-    clauses = []
-    for x in dict.fromkeys(c.x_mask for c in formula.clauses):
-        meet = meet_above(models, universe, x)
-        clauses.extend(HornClause(universe, x, v) for v in bit_indices(meet & ~x))
-    if not models >> universe.full_mask & 1:
-        clauses.append(HornClause(universe, universe.full_mask, None))
-    horn = HornFormula(universe, clauses)
-    if _checked_models(horn) != models:
-        raise ConversionError(
-            "formula is not Horn-expressible under antecedent extraction",
-            residual=formula,
-        )
-    return horn
-
-
-def _checked_models(horn: HornFormula) -> int:
-    """The model set of an extracted Horn formula, built without
-    :func:`model_bitset`, whose cache would then hold one 2**n-bit set per
-    extracted clause: they are seldom asked about again, and an envelope
-    can have many."""
-    violated = 0
-    for clause in horn.clauses:
-        violated |= violator_bitset(clause)
-    return ((1 << (1 << horn.universe.n)) - 1) ^ violated
-
-
-def horn_envelope(formula, cap: int = DEFAULT_ENUM_CAP) -> HornFormula:
-    """Strongest Horn consequence of ``formula``.
-
-    The result entails exactly the Horn clauses ``formula`` entails; its
-    models are the closure of the formula's models under pairwise
-    intersection.  Unlike :func:`mvdf_to_horn` this never fails, but the
-    result is only equivalent to the input when the input was
-    Horn-expressible to begin with.
-
-    A mask m other than V is in the closure exactly when, for every
-    variable v outside m, some model containing m lacks v, that is when m
-    lies in ``A_v``: the down-closure of the models lacking v, together
-    with every mask containing v.  Outside the closure, the least v whose
-    ``A_v`` lacks m is the least variable outside m that every model
-    containing m has, and ``m -> v`` is the clause emitted for m.  V is in the
-    closure only when it is a model, and ``* -> F`` excludes it otherwise.
-    ``cap`` is the enumeration cap of the formula's model set.
-    """
-    universe = formula.universe
+    sup = universe.superset_pattern
     models = model_bitset(formula, cap)
     top = 1 << universe.full_mask
-    closures = []
-    closed = top - 1
-    for v in range(universe.n):
-        pattern = universe.var_pattern(v)
-        closures.append(down_closure(models & ~pattern, universe) | pattern)
-        closed &= closures[v]
-    closed |= models & top
+    closed = models | top
+    todo = (top << 1) - 1
     clauses = []
-    for m in bit_indices(((top << 1) - 1) ^ closed):
-        if m == universe.full_mask:
-            clauses.append(HornClause(universe, m, None))
+    while todo & ~closed:
+        p = canonical_select(todo & ~closed, universe, 0)
+        c = meet_above(closed, universe, p)
+        if c == p:
+            if strict:
+                raise ConversionError(
+                    "formula is not Horn-expressible: its models are not closed "
+                    "under intersection",
+                    residual=formula,
+                )
+            closed = (top << 1) - 1
+            for v in range(universe.n):
+                pattern = universe.var_pattern(v)
+                closed &= down_closure(models & ~pattern, universe) | pattern
             continue
-        v = next(v for v, a_v in enumerate(closures) if not a_v >> m & 1)
-        clauses.append(HornClause(universe, m, v))
-    result = HornFormula(universe, clauses)
-    if _checked_models(result) != closed:
-        raise AssertionError("Horn envelope construction produced the wrong model set")
-    return result
+        clauses.extend(HornClause(universe, p, v) for v in bit_indices(c & ~p))
+        todo &= ~(sup(p) & ~sup(c))
+    if not models & top:
+        clauses.append(HornClause(universe, universe.full_mask, None))
+    return HornFormula(universe, clauses)
 
 
 def horn_i_via_mvdf(universe: VariableUniverse, mem_interp, eq_interp,
@@ -356,33 +329,17 @@ def horn_i_via_mvdf(universe: VariableUniverse, mem_interp, eq_interp,
     return mvdf_to_horn(learned)
 
 
-def horn_from_entailment_run(learned, to_horn, envelope) -> HornFormula:
-    """Horn formula learned against entailment oracles.
-
-    Such a run ends as soon as target and hypothesis entail the same Horn
-    clauses, which does not force the (possibly non-Horn) working formula
-    to match the target's models.  So ``to_horn`` (:func:`mvdf_to_horn`)
-    is tried first, and when it fails, ``envelope`` (:func:`horn_envelope`)
-    gives the result.  The Horn envelope is exact there: two Horn formulas
-    entailing the same Horn clauses are equivalent.  Both extractions are
-    passed in, so the caller chooses the function objects that run.
-    """
-    try:
-        return to_horn(learned)
-    except ConversionError:
-        return envelope(learned)
-
-
-def _horn_inner_for_entailments(universe, mem_interp, eq_interp, **session_kwargs):
-    learned = learn(universe, mem_interp, eq_interp, **session_kwargs)
-    return horn_from_entailment_run(learned, mvdf_to_horn, horn_envelope)
-
-
 def learn_horn_from_entailments(universe: VariableUniverse, mem_entail, eq_entail,
                                 **session_kwargs) -> HornFormula:
-    """Learn a definite Horn formula from entailment oracles."""
-    composed = compose(horn_entailment_reduction(), _horn_inner_for_entailments)
-    return composed(universe, mem_entail, eq_entail, **session_kwargs)
+    """Learn a definite Horn formula from entailment oracles.
+
+    The run ends once target and hypothesis entail the same Horn clauses,
+    which does not force the working formula's models to be closed under
+    intersection; its strongest Horn consequence is then exact, since two
+    Horn formulas entailing the same Horn clauses are equivalent.
+    """
+    mem, eq = translate_oracles(horn_entailment_reduction(), mem_entail, eq_entail)
+    return mvdf_to_horn(learn(universe, mem, eq, **session_kwargs), strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,28 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import csv
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from mvdlearn import equivalent, parse_formula
+from mvdlearn import (
+    equivalent,
+    format_formula,
+    horn_formula_to_mvd,
+    mvdf_to_horn,
+    parse_formula,
+)
 from mvdlearn.cli import main
 
-from conftest import GOLDEN_TARGET_TEXT, cli_child_env
+from conftest import (
+    GOLDEN_TARGET_TEXT,
+    cli_child_env,
+    numbered_universe,
+    random_definite_horn,
+)
 
 GOLDEN_SCRIPT_TEXT = "11100\n01101\n01010\n11100\n"
 
@@ -101,6 +113,31 @@ def test_learn_horn_from_entailments_keeps_the_false_clause(tmp_path, capsys):
         assert (code, err) == (0, "")
         body = out.split("hypothesis:\n")[1].split("stats:")[0]
         assert equivalent(parse_formula(textwrap.dedent(body), "horn"), target)
+
+
+def test_learn_horn_prints_the_canonical_basis(tmp_path, capsys):
+    # the printed formula is the basis of the target's models, whatever the
+    # example kind and the oracle, and has no more premises than the target
+    # has antecedents
+    rng = random.Random(1986)
+    horn = tmp_path / "t.horn"
+    for trial in range(24):
+        n = 3 + trial % 6
+        target = random_definite_horn(numbered_universe(n), rng)
+        horn.write_text(format_formula(target) + "\n")
+        basis = mvdf_to_horn(horn_formula_to_mvd(target))
+        for kind in ("interpretations", "entailments"):
+            for oracle in (["exhaustive"], ["random", "--seed", str(trial)]):
+                code, out, err = run_main(
+                    capsys,
+                    ["learn-horn", "--target", str(horn), "--examples", kind,
+                     "--oracle", *oracle],
+                )
+                assert (code, err) == (0, "")
+                printed = [line[2:] for line in out.splitlines() if line.startswith("  ")]
+                assert printed == format_formula(basis).splitlines()
+        premises = {c.antecedent for c in basis.clauses if c.consequent is not None}
+        assert len(premises) <= len({c.antecedent for c in target.clauses})
 
 
 def test_max_vars_above_the_default_cap_reaches_the_extraction(tmp_path):

@@ -46,7 +46,6 @@ from mvdlearn.reductions import (
     _unit_closure,
     compose,
     horn_entailment_reduction,
-    horn_envelope,
     horn_f_eq,
     horn_f_mem,
     horn_i_via_mvdf,
@@ -60,6 +59,7 @@ from conftest import (
     entails_split,
     enumerate_horn_clauses,
     enumerate_quasi2_clauses,
+    model_masks,
     numbered_universe,
     random_definite_horn,
     random_proper_clause,
@@ -396,13 +396,13 @@ def test_reductions_and_extractions_take_the_enumeration_cap():
         lambda cap: horn_entailment_reduction(cap).f_eq(horn_ce, hypo, mem),
         lambda cap: quasi2_reduction(cap).f_eq(quasi_ce, hypo, mem),
         lambda cap: mvdf_to_horn(target, cap),
-        lambda cap: horn_envelope(target, cap),
+        lambda cap: mvdf_to_horn(target, cap, strict=False),
     ]
     expected = [
         horn_f_eq(horn_ce, hypo, mem),
         qh_interp_ce_substitute(quasi_ce, hypo, mem),
         mvdf_to_horn(target),
-        horn_envelope(target),
+        mvdf_to_horn(target, strict=False),
     ]
     for call, default in zip(calls, expected):
         with pytest.raises(EnumerationCapError, match="enumeration cap is 3"):
@@ -437,44 +437,107 @@ def test_mvdf_to_horn_round_trips_random_horn():
         assert equivalent(back, horn)
 
 
-def _reference_mvdf_to_horn(formula):
-    """The extraction that tested every candidate clause ``x -> v`` with
-    ``entails``, kept as the reference."""
+def _reference_intersection_closure(formula):
+    """The formula's models closed under pairwise intersection with Python
+    sets, kept as the reference: the models of its strongest Horn
+    consequence."""
+    closed = fresh = set(model_masks(formula))
+    while fresh:
+        fresh = {a & b for a in fresh for b in closed} - closed
+        closed |= fresh
+    return closed
+
+
+def _reference_basis(formula):
+    """``{premise: closure}`` over the pseudo-closed masks of the closure
+    system of the formula's models and V, by the definition: P is not
+    closed, and contains the closure of every pseudo-closed mask it
+    strictly contains.  Closed means a meet of models and V."""
     universe = formula.universe
-    clauses = []
-    for x in dict.fromkeys(c.x_mask for c in formula.clauses):
-        for v in range(universe.n):
-            if x >> v & 1:
-                continue
-            candidate = HornClause(universe, x, v)
-            if entails(formula, candidate):
-                clauses.append(candidate)
-    if entails(formula, HornClause(universe, universe.full_mask, None)):
-        clauses.append(HornClause(universe, universe.full_mask, None))
-    horn = HornFormula(universe, clauses)
-    if not equivalent(horn, formula):
-        raise ConversionError("not Horn-expressible", residual=formula)
-    return horn
+    closed = _reference_intersection_closure(formula) | {universe.full_mask}
+
+    def closure(m):
+        meet = universe.full_mask
+        for s in closed:
+            if s & m == m:
+                meet &= s
+        return meet
+
+    basis = {}
+    for p in enum_masks(universe.n):
+        if closure(p) != p and all(c & p == c for q, c in basis.items() if q & p == q):
+            basis[p] = closure(p)
+    return basis
 
 
-def test_mvdf_to_horn_matches_the_candidate_scan():
+def _premises(horn):
+    """``{antecedent: consequent mask}`` of the definite clauses, in order."""
+    premises = {}
+    for clause in horn.clauses:
+        if clause.consequent is not None:
+            premises[clause.antecedent] = (
+                premises.get(clause.antecedent, clause.antecedent) | clause.consequent_mask
+            )
+    return premises
+
+
+def _random_extraction_input(u, rng, trial):
+    if trial % 3 == 0:
+        return horn_formula_to_mvd(random_definite_horn(u, rng))
+    return random_target(u, rng, max_clauses=4)
+
+
+def test_mvdf_to_horn_premises_are_the_pseudo_closed_sets():
     rng = random.Random(1987)
     outcomes = set()
     for trial in range(600):
-        n = 2 + trial % 6
+        n = 2 + trial % 4
         u = numbered_universe(n)
-        if trial % 3 == 0:
-            formula = horn_formula_to_mvd(random_definite_horn(u, rng))
-        else:
-            formula = random_target(u, rng, max_clauses=4)
-        try:
-            expected = _reference_mvdf_to_horn(formula).clauses
-        except ConversionError:
-            with pytest.raises(ConversionError):
+        formula = _random_extraction_input(u, rng, trial)
+        horn = mvdf_to_horn(formula, strict=False)
+        premises = _premises(horn)
+        assert premises == _reference_basis(formula)
+        # premises in the canonical order, each closure's variables ascending
+        order = list(enum_masks(n))
+        definite = [c for c in horn.clauses if c.consequent is not None]
+        assert definite == sorted(
+            definite, key=lambda c: (order.index(c.antecedent), c.consequent)
+        )
+        v_is_model = u.full_mask in model_masks(formula)
+        # `* -> F` comes last, and only when V is not a model
+        false_clause = HornClause(u, u.full_mask, None)
+        assert false_clause not in horn.clauses[:-1]
+        assert (horn.clauses[-1:] == (false_clause,)) != v_is_model
+        outcomes.add("V a model" if v_is_model else "V not a model")
+    assert outcomes == {"V a model", "V not a model"}
+
+
+def test_mvdf_to_horn_accepts_every_horn_expressible_formula():
+    # no antecedent of the formula is a premise: its models {}, {a, b} are
+    # closed under intersection, and a -> b, b -> a has them
+    f = parse_formula("vars: a b\n- -> a b | -\n", "mvd")
+    horn = mvdf_to_horn(f)
+    assert horn.clauses == parse_formula("vars: a b\na -> b\nb -> a\n", "horn").clauses
+    assert equivalent(horn, f)
+
+
+def test_mvdf_to_horn_strict_raises_exactly_off_intersection_closed_models():
+    rng = random.Random(2011)
+    outcomes = set()
+    for trial in range(600):
+        n = 2 + trial % 5
+        u = numbered_universe(n)
+        formula = _random_extraction_input(u, rng, trial)
+        models = set(model_masks(formula))
+        if models != _reference_intersection_closure(formula):
+            with pytest.raises(ConversionError, match="not closed under intersection") as err:
                 mvdf_to_horn(formula)
+            assert err.value.residual is formula
             outcomes.add("rejected")
             continue
-        assert mvdf_to_horn(formula).clauses == expected
+        horn = mvdf_to_horn(formula)
+        assert horn.clauses == mvdf_to_horn(formula, strict=False).clauses
+        assert set(model_masks(horn)) == models
         outcomes.add("extracted")
     assert outcomes == {"rejected", "extracted"}
 
@@ -494,69 +557,30 @@ def test_horn_envelope_properties():
         n = rng.randrange(2, 6)
         u = numbered_universe(n)
         formula = random_target(u, rng, max_clauses=3)
-        env = horn_envelope(formula)
+        env = mvdf_to_horn(formula, strict=False)
         # entails exactly the Horn clauses the input entails
         for clause in enumerate_horn_clauses(u):
             assert entails(env, clause) == entails(formula, clause)
         # and is equivalent whenever the input already was Horn-shaped
         horn = random_definite_horn(u, rng)
-        assert equivalent(horn_envelope(horn_formula_to_mvd(horn)), horn)
+        assert equivalent(mvdf_to_horn(horn_formula_to_mvd(horn), strict=False), horn)
 
 
-def _reference_horn_envelope(formula):
-    """The envelope that closed the model set under pairwise intersection
-    with Python sets, kept as the reference."""
-    universe = formula.universe
-    models = model_bitset(formula)
-    closed = {m for m in range(1 << universe.n) if models >> m & 1}
-    frontier = sorted(closed)
-    while frontier:
-        fresh = set()
-        base = sorted(closed)
-        for a in frontier:
-            for b in base:
-                inter = a & b
-                if inter not in closed and inter not in fresh:
-                    fresh.add(inter)
-        closed |= fresh
-        frontier = sorted(fresh)
-    clauses = []
-    for m in range(1 << universe.n):
-        if m in closed:
-            continue
-        if m == universe.full_mask:
-            clauses.append(HornClause(universe, m, None))
-            continue
-        supersets = [s for s in closed if s & m == m]
-        if supersets:
-            hull = universe.full_mask
-            for s in supersets:
-                hull &= s
-            extra = hull & ~m
-        else:
-            extra = universe.full_mask & ~m
-        v = next(bit_indices(extra))
-        clauses.append(HornClause(universe, m, v))
-    return HornFormula(universe, clauses)
-
-
-def test_horn_envelope_matches_the_reference_closure():
+def test_horn_envelope_models_are_the_reference_closure():
     rng = random.Random(1996)
     kinds = set()
     for trial in range(240):
         n = 2 + trial % 6
         u = numbered_universe(n)
-        if trial % 3 == 0:
-            formula = horn_formula_to_mvd(random_definite_horn(u, rng))
-        else:
-            formula = random_target(u, rng, max_clauses=4)
+        formula = _random_extraction_input(u, rng, trial)
         models = model_bitset(formula)
         kinds.add(
             "no models" if not models
             else "V a model" if models >> u.full_mask & 1
             else "V not a model"
         )
-        assert horn_envelope(formula).clauses == _reference_horn_envelope(formula).clauses
+        envelope = mvdf_to_horn(formula, strict=False)
+        assert set(model_masks(envelope)) == _reference_intersection_closure(formula)
     for n in range(1, 5):
         # every assignment excluded: no variable can be false, nor all true
         u = numbered_universe(n)
@@ -564,16 +588,16 @@ def test_horn_envelope_matches_the_reference_closure():
             u, [HornClause(u, 0, v) for v in range(n)] + [HornClause(u, u.full_mask, None)]
         )
         assert model_bitset(unsatisfiable) == 0
-        got = horn_envelope(unsatisfiable).clauses
-        assert got == _reference_horn_envelope(unsatisfiable).clauses
-        assert len(got) == 1 << n
+        envelope = mvdf_to_horn(unsatisfiable, strict=False)
+        assert model_masks(envelope) == []
+        assert envelope.clauses == unsatisfiable.clauses
     assert kinds >= {"V a model", "V not a model"}
 
 
 def test_horn_envelope_leaves_no_horn_clause_in_the_violator_cache():
-    # the Horn extractions check their own model sets, and horn_f_eq closes
-    # antecedents on both sides, but none of them may keep one 2**n-bit set
-    # per Horn clause on the universe
+    # the Horn extraction builds the formula's model set, and horn_f_eq
+    # closes antecedents on both sides, but neither may keep one 2**n-bit
+    # set per Horn clause on the universe
     rng = random.Random(16)
     emitted = 0
     translated = 0
@@ -581,10 +605,8 @@ def test_horn_envelope_leaves_no_horn_clause_in_the_violator_cache():
         n = 2 + trial % 6
         u = numbered_universe(n)
         formula = random_target(u, rng, max_clauses=4)
-        got = horn_envelope(formula)
-        emitted += len(got.clauses)
+        emitted += len(mvdf_to_horn(formula, strict=False).clauses)
         assert not any(key[0] is HornClause for key in u._violator_cache)
-        assert got.clauses == _reference_horn_envelope(formula).clauses
 
         target = horn_formula_to_mvd(random_definite_horn(u, rng))
         emitted += len(mvdf_to_horn(target).clauses)
