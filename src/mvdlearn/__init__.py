@@ -60,7 +60,6 @@ from .oracles import (
 )
 from .reductions import (
     ReductionPair,
-    compose,
     horn_f_eq,
     horn_f_mem,
     horn_i_via_mvdf,

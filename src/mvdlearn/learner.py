@@ -48,11 +48,14 @@ EquivalenceOracle = Callable[[MvdFormula], Optional[Interpretation]]
 
 @dataclass(frozen=True)
 class TheoreticalBounds:
-    """Run bounds derived from a known target size (test-harness use only).
+    """Run bounds derived from a known target size.
 
     ``n`` is the universe size and ``m`` the target's clause count; ``limit``
     bounds the stored negatives' combined false-variable budget and with it
-    the number of negative-counterexample iterations.
+    the number of negative-counterexample iterations.  A session given
+    bounds reports that budget as ``E=`` in its trace and caps its
+    iterations by ``limit``; the CLI's learning commands build one from the
+    target they simulate.
     """
 
     n: int

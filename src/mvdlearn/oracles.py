@@ -6,9 +6,13 @@ entailments, two-literal-clause entailments, or data relations.  Three
 counterexample strategies are supported:
 
 * ``exhaustive``   - the first element of the symmetric difference in the
-  canonical enumeration order, so runs are reproducible bit for bit;
+  canonical order (X-major: the least assignment or antecedent X in the
+  canonical mask order, then the first consequent set S marking it), so
+  runs are reproducible bit for bit;
 * ``random``       - a uniform sample from the symmetric difference, driven
-  by a caller-supplied seed;
+  by a caller-supplied seed: one ``randrange`` over the differing
+  ``(X, S)`` pairs, counted off S-major (set by set, X in canonical order
+  within a set);
 * ``scripted``     - entries replayed from a list, each validated against
   the symmetric difference before release.
 
@@ -19,7 +23,9 @@ learning session's bookkeeping into a :class:`QueryStats` value.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +44,6 @@ from .core import (
     format_clause,
     model_bitset,
     parse_clause,
-    popcount,
 )
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .relations import (
@@ -91,7 +96,21 @@ def stats_snapshot(session) -> QueryStats:
 
 
 class _TeacherBase:
-    def __init__(self, strategy: str, seed: int, script):
+    """The equivalence answer and query accounting of every teacher.
+
+    A teacher describes a formula by its answer sets ``{S: bitset over
+    masks X}``: ``{0: models}`` for the assignment and relation teachers,
+    and per consequent set S the antecedents of the clauses ``X -> S`` not
+    entailed for the entailment teacher.  The target's sets are built once;
+    an equivalence query builds the hypothesis's and XORs them in, so the
+    marked ``(X, S)`` pairs are the symmetric difference.  A subclass
+    supplies :meth:`_answer_sets`, :meth:`_example` (the counterexample,
+    built from one :meth:`_pick` of the marked pairs), :meth:`_separates`
+    (the test of a scripted entry) and :meth:`_label` (its name in errors).
+    """
+
+    def __init__(self, target, strategy="exhaustive", seed=0, script=None,
+                 cap=DEFAULT_ENUM_CAP):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         if strategy == "scripted":
@@ -102,49 +121,59 @@ class _TeacherBase:
             raise ValueError("a script only makes sense with the scripted strategy")
         else:
             self._script = None
+        self.target = target
+        self.universe = target.universe
+        self.cap = cap
         self.strategy = strategy
         self._rng = random.Random(seed)
         self._cursor = 0
         self.stats = {"membership_queries": 0, "equivalence_queries": 0}
+        self._target_sets = self._answer_sets(target)
 
-    def _draw_rank(self, count: int) -> int:
-        """The rank of the counterexample among ``count`` candidates: 0, or
-        one uniform ``randrange`` draw for ``random``."""
-        return 0 if self.strategy == "exhaustive" else self._rng.randrange(count)
+    def _answer_sets(self, formula) -> dict:
+        return {0: model_bitset(formula, self.cap)}
 
-    def _select_witness(self, diff: int) -> Interpretation:
-        """A counterexample from the non-empty assignment set ``diff``: the
-        first in canonical order, or a uniform pick for ``random``."""
-        rank = self._draw_rank(popcount(diff))
-        return Interpretation(self.universe, canonical_select(diff, self.universe, rank))
-
-    def _check_hypothesis(self, hypothesis) -> None:
+    def equivalence_answer(self, hypothesis):
+        """A counterexample to ``hypothesis``, or ``None`` when there is none."""
+        self.stats["equivalence_queries"] += 1
         if hypothesis.universe != self.universe:
             raise UniverseMismatchError("equivalence query over the wrong universe")
-
-    def _scripted_answer(self, differs, separates, describe):
-        """Release the next scripted entry once it is checked.
-
-        ``differs()`` says whether the hypothesis still differs from the
-        target and is asked only when the script has run out; the run then
-        ends (``None``) or the script counts as exhausted.  An entry is
-        released when ``separates(entry)`` holds; ``describe(number,
-        entry)`` names it in the error otherwise.
-        """
-        if self._cursor >= len(self._script):
-            if differs():
+        target = self._target_sets
+        diffs = {s: target[s] ^ bits for s, bits in self._answer_sets(hypothesis).items()}
+        if self.strategy != "scripted":
+            return self._example(diffs, hypothesis) if any(diffs.values()) else None
+        if self._cursor == len(self._script):
+            if any(diffs.values()):
                 raise OracleContractError(
                     "script exhausted while the hypothesis still differs from the target"
                 )
             return None
         entry = self._script[self._cursor]
         self._cursor += 1
-        if not separates(entry):
+        if not self._separates(entry, diffs, hypothesis):
             raise OracleContractError(
-                f"scripted {describe(self._cursor, entry)} is not a counterexample "
+                f"scripted {self._label(self._cursor, entry)} is not a counterexample "
                 "for the current hypothesis"
             )
         return entry
+
+    def _pick(self, diffs: dict) -> tuple:
+        """One ``(X, S)`` pair marked in ``diffs``, which marks at least one.
+
+        ``exhaustive`` takes the least X in canonical order, then the first
+        S whose set marks it.  ``random`` draws one rank over all marked
+        pairs and counts it off set by set in the order of ``diffs``
+        (S-major), so each pair is equally likely.
+        """
+        if self.strategy == "exhaustive":
+            x = canonical_select(functools.reduce(operator.or_, diffs.values()), self.universe, 0)
+            return x, next(s for s, bits in diffs.items() if bits >> x & 1)
+        counts = [bits.bit_count() for bits in diffs.values()]
+        rank = self._rng.randrange(sum(counts))
+        for (s, bits), count in zip(diffs.items(), counts):
+            if rank < count:
+                return canonical_select(bits, self.universe, rank), s
+            rank -= count
 
 
 class MvdfInterpretationTeacher(_TeacherBase):
@@ -155,66 +184,57 @@ class MvdfInterpretationTeacher(_TeacherBase):
     symmetric difference of the model sets.
     """
 
-    def __init__(self, target, strategy="exhaustive", seed=0, script=None,
-                 cap=DEFAULT_ENUM_CAP):
-        super().__init__(strategy, seed, script)
-        self.target = target
-        self.universe = target.universe
-        self.cap = cap
-        self._target_models = model_bitset(target, cap)
-
     def membership_answer(self, example: Interpretation) -> bool:
         if example.universe != self.universe:
             raise UniverseMismatchError("membership query over the wrong universe")
         self.stats["membership_queries"] += 1
-        return bool(self._target_models >> example.mask & 1)
+        return bool(self._target_sets[0] >> example.mask & 1)
 
-    def equivalence_answer(self, hypothesis) -> Optional[Interpretation]:
-        self.stats["equivalence_queries"] += 1
-        self._check_hypothesis(hypothesis)
-        diff = self._target_models ^ model_bitset(hypothesis, self.cap)
-        if self.strategy == "scripted":
-            return self._scripted_answer(
-                lambda: diff != 0,
-                lambda entry: diff >> entry.mask & 1,
-                lambda number, entry: f"entry {number} ({entry.to_bits()})",
-            )
-        if diff == 0:
-            return None
-        return self._select_witness(diff)
+    def _example(self, diffs, hypothesis) -> Interpretation:
+        return Interpretation(self.universe, self._pick(diffs)[0])
+
+    def _separates(self, entry, diffs, hypothesis) -> bool:
+        return bool(diffs[0] >> entry.mask & 1)
+
+    def _label(self, number, entry) -> str:
+        return f"entry {number} ({entry.to_bits()})"
+
+
+# the example types of each entailment clause space
+_CLAUSE_TYPES = {"horn": HornClause, "quasi2": (HornClause, QuasiHorn2Clause)}
 
 
 class EntailmentTeacher(_TeacherBase):
     """Teacher whose examples are clauses entailed (or not) by the target.
 
-    ``kind`` picks the clause space: ``'horn'`` or ``'quasi2'``.
-    Equivalence compares the sets of entailed clauses; a counterexample is
-    a clause entailed by exactly one of target and hypothesis.
+    ``kind`` picks the clause space: ``'horn'`` (:class:`HornClause`) or
+    ``'quasi2'`` (:class:`QuasiHorn2Clause` and :class:`HornClause`); an
+    example outside the space is a ``ValueError``.  Equivalence compares the
+    sets of entailed clauses; a counterexample is a clause entailed by
+    exactly one of target and hypothesis.
 
     A formula entails ``X -> S`` exactly when none of its models contains
     X and misses S, that is when X lies outside the down-closure of the
-    models missing S.  So each side keeps, per consequent set S, the
+    models missing S.  So each side's answer set for S marks the
     antecedents whose clause it does not entail: the target's sets are
-    built once, the hypothesis's once per equivalence query.  The space
-    runs through antecedents in the canonical mask order and, within one
-    antecedent, through consequent sets in the order of :meth:`_open_sets`.
+    built once, the hypothesis's once per equivalence query.  ``exhaustive``
+    answers with the least antecedent in the canonical mask order and,
+    within it, the first consequent set in the order of
+    :meth:`_answer_sets`; ``random`` draws uniformly over the differing
+    clauses, counted consequent set by consequent set.
     """
 
     def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None,
                  cap=DEFAULT_ENUM_CAP):
-        super().__init__(strategy, seed, script)
-        if kind not in ("horn", "quasi2"):
+        if kind not in _CLAUSE_TYPES:
             raise ValueError(f"unknown entailment kind {kind!r}")
-        self.target = target
         self.kind = kind
-        self.universe = target.universe
-        self.cap = cap
-        self._target_open = dict(self._open_sets(target))
+        super().__init__(target, strategy, seed, script, cap)
 
-    def _open_sets(self, formula):
-        """Yield ``(S, antecedents)`` for each consequent set S of the space,
-        where the antecedents are the X for which ``formula`` does not
-        entail ``X -> S``.
+    def _answer_sets(self, formula) -> dict:
+        """``{S: antecedents}`` for each consequent set S of the space, where
+        the antecedents are the X for which ``formula`` does not entail
+        ``X -> S``.
 
         The sets come in the space's order within one antecedent: the empty
         set, single variables ascending, then (``quasi2`` only) pairs in
@@ -224,8 +244,9 @@ class EntailmentTeacher(_TeacherBase):
         universe = self.universe
         models = model_bitset(formula, self.cap)
         singles = [1 << v for v in range(universe.n)]
+        sets = {}
         if self.kind == "horn":
-            yield 0, models & 1 << universe.full_mask
+            sets[0] = models & 1 << universe.full_mask
             consequents = singles
         else:
             consequents = [0, *singles, *(a | b for a, b in itertools.combinations(singles, 2))]
@@ -233,44 +254,36 @@ class EntailmentTeacher(_TeacherBase):
             missing = models
             for v in bit_indices(s):
                 missing &= ~universe.var_pattern(v)
-            yield s, down_closure(missing, universe)
+            sets[s] = down_closure(missing, universe)
+        return sets
+
+    def _position(self, clause) -> tuple:
+        """``(X, S)`` of a clause of the teacher's space."""
+        if not isinstance(clause, _CLAUSE_TYPES[self.kind]):
+            raise ValueError(
+                f"a {self.kind} entailment teacher cannot answer {type(clause).__name__} examples"
+            )
+        return clause.antecedent, clause.consequent_mask
 
     def membership_answer(self, example) -> bool:
         if example.universe != self.universe:
             raise UniverseMismatchError("membership query over the wrong universe")
+        x, s = self._position(example)
         self.stats["membership_queries"] += 1
-        return not self._target_open[example.consequent_mask] >> example.antecedent & 1
+        return not self._target_sets[s] >> x & 1
 
-    def equivalence_answer(self, hypothesis):
-        self.stats["equivalence_queries"] += 1
-        self._check_hypothesis(hypothesis)
-        diffs = {s: self._target_open[s] ^ bits for s, bits in self._open_sets(hypothesis)}
-        if self.strategy == "scripted":
-            return self._scripted_answer(
-                lambda: any(diffs.values()),
-                lambda entry: diffs[entry.consequent_mask] >> entry.antecedent & 1,
-                lambda number, entry: f"entry {number} ({format_clause(entry)})",
-            )
-        count = sum(bits.bit_count() for bits in diffs.values())
-        if not count:
-            return None
-        rank = self._draw_rank(count)
-        x, s = next(itertools.islice(self._differences(diffs), rank, None))
+    def _example(self, diffs, hypothesis):
+        x, s = self._pick(diffs)
         if self.kind == "horn":
             return HornClause(self.universe, x, s.bit_length() - 1 if s else None)
         return QuasiHorn2Clause(self.universe, x, frozenset(bit_indices(s)))
 
-    def _differences(self, diffs: dict):
-        """The ``(X, S)`` pairs marked in ``diffs`` (S -> antecedent set), in
-        the space's order."""
-        union = 0
-        for bits in diffs.values():
-            union |= bits
-        for rank in range(union.bit_count()):
-            x = canonical_select(union, self.universe, rank)
-            for s, bits in diffs.items():
-                if bits >> x & 1:
-                    yield x, s
+    def _separates(self, entry, diffs, hypothesis) -> bool:
+        x, s = self._position(entry)
+        return bool(diffs[s] >> x & 1)
+
+    def _label(self, number, entry) -> str:
+        return f"entry {number} ({format_clause(entry)})"
 
 
 def _clause_masks(formula) -> list:
@@ -315,25 +328,23 @@ class RelationTeacher(_TeacherBase):
     set.  Random counterexample relations are judged pair by pair on their
     agreement masks, and the swap-row test runs only for a pair whose
     agreement assignment is not a model; scripted relations and membership
-    queries on more rows are checked with the holds-in-relation check.
+    queries on more rows are checked with the holds-in-relation check.  When
+    no candidate differs, the answer is the two-row relation of a picked
+    assignment, as for ``exhaustive``.
     """
 
     random_tries = 20  # candidate relations drawn per random counterexample
 
     def __init__(self, target: MvdFormula, schema: AttributeSchema,
                  strategy="exhaustive", seed=0, script=None, cap=DEFAULT_ENUM_CAP):
-        super().__init__(strategy, seed, script)
         if schema.attributes != target.universe.names:
             raise UniverseMismatchError("schema does not match the target universe")
         for clause in target.clauses:
             if not clause.is_proper:
                 raise ValueError("relation teachers require proper dependencies")
-        self.target = target
         self.schema = schema
-        self.universe = target.universe
-        self.cap = cap
-        self._target_models = model_bitset(target, cap)
         self._target_masks = _clause_masks(target)
+        super().__init__(target, strategy, seed, script, cap)
 
     def holds(self, relation: Relation, formula) -> bool:
         return all(mvd_holds(relation, clause) for clause in formula.clauses)
@@ -347,49 +358,45 @@ class RelationTeacher(_TeacherBase):
             return self.holds(example, self.target)
         if not rows:
             return True
-        return bool(self._target_models >> agreement_mask(rows[0], rows[-1]) & 1)
+        return bool(self._target_sets[0] >> agreement_mask(rows[0], rows[-1]) & 1)
 
-    def equivalence_answer(self, hypothesis) -> Optional[Relation]:
-        self.stats["equivalence_queries"] += 1
-        self._check_hypothesis(hypothesis)
-        models = model_bitset(hypothesis, self.cap)
-        diff = self._target_models ^ models
-        if self.strategy == "scripted":
-            return self._scripted_answer(
-                lambda: diff != 0,
-                lambda entry: self.holds(entry, self.target) != self.holds(entry, hypothesis),
-                lambda number, entry: f"relation {number}",
-            )
-        if diff == 0:
-            return None
+    def _example(self, diffs, hypothesis) -> Relation:
         if self.strategy == "random":
-            found = self._random_relation(hypothesis, models)
+            found = self._random_relation(hypothesis, diffs[0])
             if found is not None:
                 return found
-        return interp_to_pair(self._select_witness(diff), self.schema)
+        return interp_to_pair(Interpretation(self.universe, self._pick(diffs)[0]), self.schema)
 
-    def _random_relation(self, hypothesis, models: int) -> Optional[Relation]:
+    def _separates(self, entry, diffs, hypothesis) -> bool:
+        return self.holds(entry, self.target) != self.holds(entry, hypothesis)
+
+    def _label(self, number, entry) -> str:
+        return f"relation {number}"
+
+    def _random_relation(self, hypothesis, split: int) -> Optional[Relation]:
         """A random binary relation of two to four rows on which target and
         hypothesis disagree, or ``None`` after ``random_tries`` draws.
 
         Rows are drawn as int masks, cell by cell in row-major order, with
         the draws of ``randrange(2)``.  Each candidate is judged on its row
         pairs' agreement masks against the target's model set and the model
-        set of the hypothesis's proper clauses (``models`` is the whole
-        hypothesis's): an ``X -> Y | -`` clause excludes assignments but
-        holds in every relation.  Only the returned relation is built as
+        set of the hypothesis's proper clauses: an ``X -> Y | -`` clause
+        excludes assignments but holds in every relation.  ``split`` marks
+        the agreement masks where exactly one of target and whole hypothesis
+        holds, the two-row verdicts.  Only the returned relation is built as
         text.
         """
+        target_models, target_masks = self._target_sets[0], self._target_masks
         clauses = hypothesis.clauses
-        if not all(c.is_proper for c in clauses):
+        if all(c.is_proper for c in clauses):
+            models = target_models ^ split
+        else:
             models = model_bitset(
                 MvdFormula(hypothesis.universe, [c for c in clauses if c.is_proper]),
                 self.cap,
             )
-        target_models, target_masks = self._target_models, self._target_masks
+            split = target_models ^ models
         hypothesis_masks = _clause_masks(hypothesis)
-        # the two-row verdicts: agreement masks where exactly one side holds
-        split = target_models ^ models
         full = self.universe.full_mask
         randrange, getrandbits = self._rng.randrange, self._rng.getrandbits
         arity = self.schema.arity

@@ -5,10 +5,8 @@ query of the destination framework by asking source-framework membership
 queries; ``f_eq`` turns a source-framework counterexample into a
 destination-framework counterexample, again consulting only the source
 membership oracle and the hypothesis.  :func:`translate_oracles` turns
-source-framework oracles into the learner's oracles through a pair, and
-:func:`compose` uses it to put a pair in front of an inner learner, so the
-inner learner runs unchanged while the oracles live in the source
-framework.
+source-framework oracles into the learner's oracles through a pair, so
+the learner runs unchanged while the oracles live in the source framework.
 
 Three concrete pairs are provided:
 
@@ -93,20 +91,6 @@ def translate_oracles(reduction: ReductionPair, mem_source, eq_source):
     return mem, eq
 
 
-def compose(reduction: ReductionPair, inner_learner):
-    """Run ``inner_learner`` against source-framework oracles.
-
-    Returns a learner with the same calling convention whose oracles are
-    translated by :func:`translate_oracles`.
-    """
-
-    def composed(universe, mem_source, eq_source, **kwargs):
-        mem, eq = translate_oracles(reduction, mem_source, eq_source)
-        return inner_learner(universe, mem, eq, **kwargs)
-
-    return composed
-
-
 # ---------------------------------------------------------------------------
 # Data relations -> truth assignments
 
@@ -186,9 +170,8 @@ def relation_reduction(schema: AttributeSchema) -> ReductionPair:
 def learn_mvd_from_relations(schema: AttributeSchema, mem_relation, eq_relation,
                              **session_kwargs) -> MvdFormula:
     """Learn a set of proper dependencies from relation oracles."""
-    universe = schema.to_universe()
-    composed = compose(relation_reduction(schema), learn)
-    return composed(universe, mem_relation, eq_relation, **session_kwargs)
+    mem, eq = translate_oracles(relation_reduction(schema), mem_relation, eq_relation)
+    return learn(schema.to_universe(), mem, eq, **session_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,5 +434,5 @@ def quasi2_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
 def learn_mvdf_from_quasi2(universe: VariableUniverse, mem_quasi, eq_quasi,
                            **session_kwargs) -> MvdFormula:
     """Learn a full-cover implication formula from two-literal-clause oracles."""
-    composed = compose(quasi2_reduction(), learn)
-    return composed(universe, mem_quasi, eq_quasi, **session_kwargs)
+    mem, eq = translate_oracles(quasi2_reduction(), mem_quasi, eq_quasi)
+    return learn(universe, mem, eq, **session_kwargs)

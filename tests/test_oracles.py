@@ -25,7 +25,7 @@ from mvdlearn import (
     parse_formula,
     satisfies,
 )
-from mvdlearn.core import model_bitset, violator_bitset
+from mvdlearn.core import bit_indices, enum_masks, model_bitset, violator_bitset
 from mvdlearn.learner import LearnerSession
 from mvdlearn.oracles import (
     EntailmentTeacher,
@@ -222,6 +222,104 @@ def test_entailment_teacher_scripted_validation():
         teacher.equivalence_answer(HornFormula(u))
 
 
+def test_entailment_teacher_rejects_clauses_outside_its_space():
+    target = parse_formula("vars: a b c\na -> b\n", "horn")
+    u = target.universe
+    a_false = parse_clause("a -> F", u, "quasi2")
+    outside = [
+        ("horn", a_false),
+        ("horn", parse_clause("a -> b c", u, "quasi2")),
+        ("quasi2", parse_clause("a -> b | c", u)),
+    ]
+    for kind, clause in outside:
+        teacher = EntailmentTeacher(target, kind)
+        with pytest.raises(ValueError, match="cannot answer"):
+            teacher.membership_answer(clause)
+        assert teacher.stats["membership_queries"] == 0
+        scripted = EntailmentTeacher(target, kind, "scripted", script=[clause])
+        with pytest.raises(ValueError, match="cannot answer"):
+            scripted.equivalence_answer(HornFormula(u))
+    # a quasi2 teacher answers Horn clauses as well as its own
+    quasi = EntailmentTeacher(target, "quasi2")
+    assert not quasi.membership_answer(a_false)
+    for clause in enumerate_horn_clauses(u):
+        assert quasi.membership_answer(clause) == entails(target, clause)
+
+
+class _FixedDraw:
+    """Stands in for a teacher's generator: ``randrange`` returns ``rank``
+    and records the bound it was asked for."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self.bounds = []
+
+    def randrange(self, bound):
+        self.bounds.append(bound)
+        return self.rank
+
+
+@pytest.mark.parametrize("kind", ["horn", "quasi2", "assignments"])
+def test_pick_matches_the_plain_enumerations(kind):
+    # random: the rank-th pair of the plain S-major enumeration, so every
+    # marked pair is hit exactly once; exhaustive: the first pair X-major
+    rng = random.Random(17)
+
+    def make(target, strategy):
+        if kind == "assignments":
+            return MvdfInterpretationTeacher(target, strategy)
+        return EntailmentTeacher(target, kind, strategy)
+
+    for n in range(1, 7):
+        target = MvdFormula(numbered_universe(n))
+        exhaustive, drawn = make(target, "exhaustive"), make(target, "random")
+        for density in (0.05, 0.3, 0.9):
+            diffs = {
+                s: sum(1 << x for x in range(1 << n) if rng.random() < density)
+                if rng.random() < 0.7 else 0
+                for s in exhaustive._target_sets
+            }
+            s_major = [(x, s) for s, bits in diffs.items() for x in enum_masks(n) if bits >> x & 1]
+            if not s_major:
+                continue
+            x_major = [(x, s) for x in enum_masks(n) for s, bits in diffs.items() if bits >> x & 1]
+            assert exhaustive._pick(diffs) == x_major[0]
+            picked = []
+            for rank in range(len(s_major)):
+                drawn._rng = _FixedDraw(rank)
+                picked.append(drawn._pick(diffs))
+                assert drawn._rng.bounds == [len(s_major)]
+            assert picked == s_major
+
+
+@pytest.mark.parametrize("kind", ["horn", "quasi2"])
+def test_random_entailment_query_draws_once_and_selects_once(kind, monkeypatch):
+    calls = []
+    select = mvdlearn.oracles.canonical_select
+    monkeypatch.setattr(
+        mvdlearn.oracles, "canonical_select",
+        lambda *args: calls.append("select") or select(*args),
+    )
+    rng = random.Random(23)
+    answered = 0
+    for n in range(3, 8):
+        u = numbered_universe(n)
+        for seed in range(4):
+            if kind == "horn":
+                target = random_definite_horn(u, rng)
+            else:
+                target = random_target(u, rng, max_clauses=4)
+            teacher = EntailmentTeacher(target, kind, "random", seed)
+            draw = teacher._rng.randrange
+            teacher._rng.randrange = lambda bound: calls.append("draw") or draw(bound)
+            for hypothesis in (MvdFormula(u), random_target(u, rng, max_clauses=3), target):
+                calls.clear()
+                answer = teacher.equivalence_answer(hypothesis)
+                assert calls == ([] if answer is None else ["draw", "select"])
+                answered += answer is not None
+    assert answered >= 30
+
+
 def test_clause_space_enumerations():
     u = numbered_universe(3)
     horn = list(enumerate_horn_clauses(u))
@@ -399,9 +497,9 @@ def test_random_bit_matches_randrange():
         assert fast.getstate() == reference.getstate()
 
 
-def _reference_random_relation(self, hypothesis, models):
+def _reference_random_relation(self, hypothesis, split):
     """The random teacher's candidate search on text relations; the
-    hypothesis's model set ``models`` is not used."""
+    two-row verdicts ``split`` are not used."""
     for _ in range(self.random_tries):
         rows = [
             tuple(str(self._rng.randrange(2)) for _ in range(self.schema.arity))
@@ -619,11 +717,20 @@ def test_whole_runs_match_the_reference_witness_scan(make_teacher, strategy, mon
     assert fast == slow
 
 
+def _s_major(space) -> list:
+    """The clauses of ``space`` (listed antecedent by antecedent) regrouped
+    consequent set by consequent set: the empty set, single variables
+    ascending, then pairs in lexicographic order."""
+    return sorted(space, key=lambda c: (c.consequent_mask.bit_count(),
+                                        list(bit_indices(c.consequent_mask))))
+
+
 class _WalkingEntailmentTeacher(EntailmentTeacher):
     """The entailment teacher that walks its clause space, kept as the
     reference: membership and every separation test read one violator set
     per clause; ``exhaustive`` takes the first separating clause of the
-    space and ``random`` a ``choice`` among all of them."""
+    space and ``random`` a ``choice`` among all of them, listed consequent
+    set by consequent set."""
 
     def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None):
         super().__init__(target, kind, strategy, seed, script)
@@ -637,30 +744,35 @@ class _WalkingEntailmentTeacher(EntailmentTeacher):
 
     def equivalence_answer(self, hypothesis):
         self.stats["equivalence_queries"] += 1
-        self._check_hypothesis(hypothesis)
+        if hypothesis.universe != self.universe:
+            raise UniverseMismatchError("equivalence query over the wrong universe")
         models = model_bitset(hypothesis)
-        if self.strategy == "scripted":
-            return self._scripted_answer(
-                lambda: self._first_difference(models) is not None,
-                lambda entry: self._separates(models, entry),
-                lambda number, entry: f"entry {number} ({format_clause(entry)})",
-            )
+        space = _SPACES[self.kind](self.universe)
+        differing = (c for c in space if self._clause_separates(models, c))
+        if self.strategy == "random":
+            differing = _s_major(differing)
+            return self._rng.choice(differing) if differing else None
+        first = next(differing, None)
         if self.strategy == "exhaustive":
-            return self._first_difference(models)
-        differing = [c for c in _SPACES[self.kind](self.universe) if self._separates(models, c)]
-        if not differing:
+            return first
+        if self._cursor == len(self._script):
+            if first is not None:
+                raise OracleContractError(
+                    "script exhausted while the hypothesis still differs from the target"
+                )
             return None
-        return self._rng.choice(differing)
+        entry = self._script[self._cursor]
+        self._cursor += 1
+        if not self._clause_separates(models, entry):
+            raise OracleContractError(
+                f"scripted entry {self._cursor} ({format_clause(entry)}) is not a "
+                "counterexample for the current hypothesis"
+            )
+        return entry
 
-    def _separates(self, hypothesis_models, clause) -> bool:
+    def _clause_separates(self, hypothesis_models, clause) -> bool:
         violators = violator_bitset(clause)
         return (self._target_models & violators == 0) != (hypothesis_models & violators == 0)
-
-    def _first_difference(self, hypothesis_models):
-        for clause in _SPACES[self.kind](self.universe):
-            if self._separates(hypothesis_models, clause):
-                return clause
-        return None
 
 
 def _entailment_outcome(teacher_class, target, kind, strategy, seed, script=None):

@@ -44,7 +44,6 @@ from mvdlearn.core import bit_indices, enum_masks, model_bitset
 from mvdlearn.reductions import (
     ReductionPair,
     _unit_closure,
-    compose,
     horn_entailment_reduction,
     horn_f_eq,
     horn_f_mem,
@@ -53,6 +52,7 @@ from mvdlearn.reductions import (
     qh_f_mem,
     qh_interp_ce_substitute,
     quasi2_reduction,
+    translate_oracles,
 )
 
 from conftest import (
@@ -910,7 +910,7 @@ def test_membership_transforms_agree_with_destination_membership():
         assert answer == satisfies(interp, proper_target)
 
 
-def test_compose_identity_pair_matches_plain_learner(golden_target):
+def test_translate_oracles_identity_pair_matches_plain_learner(golden_target):
     u = golden_target.universe
     identity = ReductionPair(
         f_mem=lambda example, mem: mem(example),
@@ -919,10 +919,10 @@ def test_compose_identity_pair_matches_plain_learner(golden_target):
     teacher_a = MvdfInterpretationTeacher(golden_target)
     teacher_b = MvdfInterpretationTeacher(golden_target)
     direct = learn(u, teacher_a.membership_answer, teacher_a.equivalence_answer)
-    composed = compose(identity, learn)(
-        u, teacher_b.membership_answer, teacher_b.equivalence_answer
+    mem, eq = translate_oracles(
+        identity, teacher_b.membership_answer, teacher_b.equivalence_answer
     )
-    assert direct == composed
+    assert direct == learn(u, mem, eq)
 
 
 # ---------------------------------------------------------------------------
