@@ -778,11 +778,12 @@ def parse_clause(text: str, universe: VariableUniverse, kind: str = "mvd"):
     return _parse_clause_tokens(tokens, universe, kind, 1)
 
 
-def _logical_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of each line with text outside its comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield line_no, body.split()
+            yield line_no, body
 
 
 def parse_formula(text: str, kind: str = "mvd"):
@@ -793,11 +794,12 @@ def parse_formula(text: str, kind: str = "mvd"):
     """
     if kind not in ("mvd", "horn"):
         raise ValueError(f"unknown formula kind: {kind!r}")
-    lines = iter(_logical_lines(text))
+    lines = _logical_lines(text)
     try:
-        line_no, tokens = next(lines)
+        line_no, body = next(lines)
     except StopIteration:
         raise ParseError("empty input, expected a `vars:` line") from None
+    tokens = body.split()
     if tokens[0] != "vars:" or len(tokens) < 2:
         raise ParseError("first line must be `vars: <name> ...`", line_no)
     try:
@@ -805,8 +807,8 @@ def parse_formula(text: str, kind: str = "mvd"):
     except ValueError as exc:
         raise ParseError(str(exc), line_no) from None
     clauses = []
-    for line_no, tokens in lines:
-        clauses.append(_parse_clause_tokens(tokens, universe, kind, line_no))
+    for line_no, body in lines:
+        clauses.append(_parse_clause_tokens(body.split(), universe, kind, line_no))
     if kind == "horn":
         return HornFormula(universe, clauses)
     return MvdFormula(universe, clauses)

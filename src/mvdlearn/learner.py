@@ -270,14 +270,12 @@ class LearnerSession:
         *,
         bounds: Optional[TheoreticalBounds] = None,
         observer=None,
-        iteration_limit: Optional[int] = None,
     ):
         self.universe = universe
         self._mem_raw = mem
         self._eq_raw = eq
         self.bounds = bounds
         self.observer = observer
-        self.iteration_limit = iteration_limit
 
         self._mem_cache: dict[int, bool] = {}
         self.membership_queries = 0
@@ -400,8 +398,6 @@ class LearnerSession:
         return len(self.negatives) + (self.bounds.limit - spent)
 
     def _iteration_cap(self) -> int:
-        if self.iteration_limit is not None:
-            return self.iteration_limit
         if self.bounds is not None:
             n_bound = self.bounds.limit
         else:

@@ -16,9 +16,12 @@ counterexample strategies are supported:
 * ``scripted``     - entries replayed from a list, each validated against
   the symmetric difference before release.
 
-Teachers carry a ``stats`` dict counting the queries asked of them.  The
-learner-side counters live in :func:`stats_snapshot`, which freezes a
-learning session's bookkeeping into a :class:`QueryStats` value.
+Hypotheses, membership queries and scripted entries over another universe
+(or schema) are rejected.  A relation teacher judges a formula by its
+proper clauses alone, since an ``X -> Y | -`` clause holds in every
+relation.  Teachers carry a ``stats`` dict counting the queries asked of
+them; the learner-side counters live in :func:`stats_snapshot`, which
+freezes a learning session's bookkeeping into a :class:`QueryStats` value.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     MvdFormula,
     QuasiHorn2Clause,
     VariableUniverse,
+    _logical_lines,
     bit_indices,
     canonical_select,
     down_closure,
@@ -96,18 +100,21 @@ def stats_snapshot(session) -> QueryStats:
 
 
 class _TeacherBase:
-    """The equivalence answer and query accounting of every teacher.
+    """Membership, equivalence and query accounting for all three teachers.
 
     A teacher describes a formula by its answer sets ``{S: bitset over
-    masks X}``: ``{0: models}`` for the assignment and relation teachers,
-    and per consequent set S the antecedents of the clauses ``X -> S`` not
-    entailed for the entailment teacher.  The target's sets are built once;
-    an equivalence query builds the hypothesis's and XORs them in, so the
-    marked ``(X, S)`` pairs are the symmetric difference.  A subclass
-    supplies :meth:`_answer_sets`, :meth:`_example` (the counterexample,
-    built from one :meth:`_pick` of the marked pairs), :meth:`_separates`
-    (the test of a scripted entry) and :meth:`_label` (its name in errors).
+    masks X}`` and places an example at one ``(X, S)`` pair with
+    :meth:`_position`, which also checks the example's universe and kind.
+    A marked pair is a member when ``_marks_members`` is set (models) and a
+    non-member otherwise (antecedents of clauses not entailed).  The
+    target's sets are built once; an equivalence query XORs the
+    hypothesis's into them, so the marked pairs are the symmetric
+    difference, and a scripted entry must sit on one.  A subclass supplies
+    :meth:`_answer_sets`, :meth:`_position`, :meth:`_example` (built from
+    one :meth:`_pick`) and :meth:`_label` (an entry's name in errors).
     """
+
+    _marks_members = True
 
     def __init__(self, target, strategy="exhaustive", seed=0, script=None,
                  cap=DEFAULT_ENUM_CAP):
@@ -132,6 +139,15 @@ class _TeacherBase:
 
     def _answer_sets(self, formula) -> dict:
         return {0: model_bitset(formula, self.cap)}
+
+    def membership_answer(self, example) -> bool:
+        x, s = self._position(example)
+        self.stats["membership_queries"] += 1
+        return bool(self._target_sets[s] >> x & 1) == self._marks_members
+
+    def _separates(self, entry, diffs, hypothesis) -> bool:
+        x, s = self._position(entry)
+        return bool(diffs[s] >> x & 1)
 
     def equivalence_answer(self, hypothesis):
         """A counterexample to ``hypothesis``, or ``None`` when there is none."""
@@ -184,17 +200,13 @@ class MvdfInterpretationTeacher(_TeacherBase):
     symmetric difference of the model sets.
     """
 
-    def membership_answer(self, example: Interpretation) -> bool:
+    def _position(self, example: Interpretation) -> tuple:
         if example.universe != self.universe:
-            raise UniverseMismatchError("membership query over the wrong universe")
-        self.stats["membership_queries"] += 1
-        return bool(self._target_sets[0] >> example.mask & 1)
+            raise UniverseMismatchError("assignment over the wrong universe")
+        return example.mask, 0
 
     def _example(self, diffs, hypothesis) -> Interpretation:
         return Interpretation(self.universe, self._pick(diffs)[0])
-
-    def _separates(self, entry, diffs, hypothesis) -> bool:
-        return bool(diffs[0] >> entry.mask & 1)
 
     def _label(self, number, entry) -> str:
         return f"entry {number} ({entry.to_bits()})"
@@ -216,13 +228,14 @@ class EntailmentTeacher(_TeacherBase):
     A formula entails ``X -> S`` exactly when none of its models contains
     X and misses S, that is when X lies outside the down-closure of the
     models missing S.  So each side's answer set for S marks the
-    antecedents whose clause it does not entail: the target's sets are
-    built once, the hypothesis's once per equivalence query.  ``exhaustive``
-    answers with the least antecedent in the canonical mask order and,
-    within it, the first consequent set in the order of
-    :meth:`_answer_sets`; ``random`` draws uniformly over the differing
-    clauses, counted consequent set by consequent set.
+    antecedents whose clause it does not entail, and a marked clause is a
+    non-member.  ``exhaustive`` answers with the least antecedent in the
+    canonical mask order and, within it, the first consequent set in the
+    order of :meth:`_answer_sets`; ``random`` draws uniformly over the
+    differing clauses, counted consequent set by consequent set.
     """
+
+    _marks_members = False
 
     def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None,
                  cap=DEFAULT_ENUM_CAP):
@@ -259,28 +272,19 @@ class EntailmentTeacher(_TeacherBase):
 
     def _position(self, clause) -> tuple:
         """``(X, S)`` of a clause of the teacher's space."""
+        if clause.universe != self.universe:
+            raise UniverseMismatchError("clause over the wrong universe")
         if not isinstance(clause, _CLAUSE_TYPES[self.kind]):
             raise ValueError(
                 f"a {self.kind} entailment teacher cannot answer {type(clause).__name__} examples"
             )
         return clause.antecedent, clause.consequent_mask
 
-    def membership_answer(self, example) -> bool:
-        if example.universe != self.universe:
-            raise UniverseMismatchError("membership query over the wrong universe")
-        x, s = self._position(example)
-        self.stats["membership_queries"] += 1
-        return not self._target_sets[s] >> x & 1
-
     def _example(self, diffs, hypothesis):
         x, s = self._pick(diffs)
         if self.kind == "horn":
             return HornClause(self.universe, x, s.bit_length() - 1 if s else None)
         return QuasiHorn2Clause(self.universe, x, frozenset(bit_indices(s)))
-
-    def _separates(self, entry, diffs, hypothesis) -> bool:
-        x, s = self._position(entry)
-        return bool(diffs[s] >> x & 1)
 
     def _label(self, number, entry) -> str:
         return f"entry {number} ({format_clause(entry)})"
@@ -297,13 +301,13 @@ def _candidate_holds(rows, pairs, models, clauses) -> bool:
     value of attribute i is "1").
 
     ``pairs`` lists each row pair as ``(a, b, agree)`` with the agreement
-    mask ``agree = full ^ a ^ b``, and ``models`` is the model set of the
-    proper clauses among ``clauses``.  A pair breaks no clause when its
-    agreement assignment is in ``models``.  Otherwise rows ``a`` and ``b``
-    with ``d = a ^ b`` break ``X -> Y | Z`` when they agree on X, differ on
-    Y and on Z, and one of their swap rows ``a ^ (d & Z)`` and
-    ``b ^ (d & Z)`` is missing (Fagin 1977).  No pair differs on an empty
-    side, so a clause with one holds in every relation.
+    mask ``agree = full ^ a ^ b``, and ``models`` is the relation teacher's
+    answer set of ``clauses``, the model set of their proper clauses.  A
+    pair breaks no clause when its agreement assignment is in ``models``.
+    Otherwise rows ``a`` and ``b`` with ``d = a ^ b`` break ``X -> Y | Z``
+    when they agree on X, differ on Y and on Z, and one of their swap rows
+    ``a ^ (d & Z)`` and ``b ^ (d & Z)`` is missing (Fagin 1977).  No pair
+    differs on an empty side, so a clause with one holds in every relation.
     """
     for a, b, agree in pairs:
         if not models >> agree & 1:
@@ -320,17 +324,16 @@ class RelationTeacher(_TeacherBase):
     """Teacher for learning dependencies from data relations.
 
     The target is a set of proper dependencies (both sides non-empty) over
-    the schema.  Equivalence of dependency sets coincides with model-set
-    equality of the corresponding formulas, so the decision runs at the
-    assignment level.  A relation of two rows satisfies a proper dependency
-    exactly when the rows' agreement assignment satisfies the clause, so a
-    membership query on at most two rows is one bit of the target's model
-    set.  Random counterexample relations are judged pair by pair on their
-    agreement masks, and the swap-row test runs only for a pair whose
-    agreement assignment is not a model; scripted relations and membership
-    queries on more rows are checked with the holds-in-relation check.  When
-    no candidate differs, the answer is the two-row relation of a picked
-    assignment, as for ``exhaustive``.
+    the schema.  An ``X -> Y | -`` clause holds in every relation, and two
+    sets of proper dependencies hold in the same relations exactly when
+    their formulas have the same models (Sagiv, Delobel, Parker and Fagin
+    1981), so a formula's answer set is the model set of its proper
+    clauses.  Two rows satisfy a proper dependency exactly when their
+    agreement assignment satisfies the clause, so membership on at most two
+    rows is one bit of the target's model set; scripted relations and
+    membership on more rows go through :meth:`holds`.  Random candidates
+    are judged pair by pair (:func:`_candidate_holds`); when none differs,
+    the answer is the two-row relation of a picked assignment.
     """
 
     random_tries = 20  # candidate relations drawn per random counterexample
@@ -345,6 +348,12 @@ class RelationTeacher(_TeacherBase):
         self.schema = schema
         self._target_masks = _clause_masks(target)
         super().__init__(target, strategy, seed, script, cap)
+
+    def _answer_sets(self, formula) -> dict:
+        clauses = formula.clauses
+        if not all(c.is_proper for c in clauses):
+            formula = MvdFormula(formula.universe, [c for c in clauses if c.is_proper])
+        return {0: model_bitset(formula, self.cap)}
 
     def holds(self, relation: Relation, formula) -> bool:
         return all(mvd_holds(relation, clause) for clause in formula.clauses)
@@ -378,24 +387,15 @@ class RelationTeacher(_TeacherBase):
         hypothesis disagree, or ``None`` after ``random_tries`` draws.
 
         Rows are drawn as int masks, cell by cell in row-major order, with
-        the draws of ``randrange(2)``.  Each candidate is judged on its row
-        pairs' agreement masks against the target's model set and the model
-        set of the hypothesis's proper clauses: an ``X -> Y | -`` clause
-        excludes assignments but holds in every relation.  ``split`` marks
-        the agreement masks where exactly one of target and whole hypothesis
-        holds, the two-row verdicts.  Only the returned relation is built as
-        text.
+        the draws of ``randrange(2)``.  ``split`` marks the agreement masks
+        where exactly one of the two formulas' proper clauses hold, the
+        two-row verdicts; XORed into the target's model set it gives the
+        model set of the hypothesis's proper clauses, against which larger
+        candidates are judged pair by pair.  Only the returned relation is
+        built as text.
         """
         target_models, target_masks = self._target_sets[0], self._target_masks
-        clauses = hypothesis.clauses
-        if all(c.is_proper for c in clauses):
-            models = target_models ^ split
-        else:
-            models = model_bitset(
-                MvdFormula(hypothesis.universe, [c for c in clauses if c.is_proper]),
-                self.cap,
-            )
-            split = target_models ^ models
+        models = target_models ^ split
         hypothesis_masks = _clause_masks(hypothesis)
         full = self.universe.full_mask
         randrange, getrandbits = self._rng.randrange, self._rng.getrandbits
@@ -439,13 +439,10 @@ class RelationTeacher(_TeacherBase):
 
 
 def _parse_lines(text: str, parse_line) -> list:
-    """``parse_line(body)`` of every line's text outside comments, skipping
-    blank lines; a :class:`ParseError` is numbered by its line."""
+    """``parse_line(body)`` of every line's text outside comments; a
+    :class:`ParseError` is numbered by its line."""
     entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for line_no, body in _logical_lines(text):
         try:
             entries.append(parse_line(body))
         except ParseError as exc:

@@ -198,6 +198,34 @@ def test_entails_accepts_a_purely_negative_quasi2_clause(tmp_path, capsys):
     assert (code, out, err) == (0, "yes\n", "")
 
 
+@pytest.mark.parametrize("kind, clause, message", [
+    ("horn", "1 -> 2 3", "line 1: a Horn clause needs exactly one consequent variable"),
+    ("horn", "1 -> 9", "line 1: unknown variable '9'"),
+    ("horn", "1 -> 1", "line 1: consequent must not occur in the antecedent"),
+    ("quasi2", "1 -> 2 | 3", "line 1: expected one or two consequent variables"),
+    ("quasi2", "1 -> 1 2", "line 1: consequents must be disjoint from the antecedent"),
+    ("mvd", "1 1 -> 2 | 3 4", "line 1: variable '1' repeated within a side"),
+    ("mvd", "-> 2 | 3 4", "line 1: empty side (use `-` for an empty side)"),
+    ("mvd", "1 -> 2 -> 3", "line 1: clause must contain exactly one `->`"),
+    ("mvd", "1 -> 2 3 4", "line 1: expected `<Y> | <Z>` on the right of `->`"),
+    ("mvd", "", "empty clause text"),
+])
+def test_entails_rejects_a_malformed_clause(tmp_path, capsys, kind, clause, message):
+    formula = tmp_path / "f.mvdf"
+    formula.write_text("vars: 1 2 3 4\n")
+    code, out, err = run_main(
+        capsys, ["entails", "--formula", str(formula), "--kind", kind, "--clause", clause]
+    )
+    assert (code, out, err) == (2, "", f"mvdlearn: {message}\n")
+
+
+def test_repeated_variable_name_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "t.mvdf"
+    target.write_text("vars: a a\n")
+    code, out, err = run_main(capsys, ["learn", "--target", str(target)])
+    assert (code, out, err) == (2, "", "mvdlearn: line 1: duplicate variable name: 'a'\n")
+
+
 def test_check_mvd_command(tmp_path, capsys):
     csv_file = tmp_path / "data.csv"
     csv_file.write_text("A,B,C\nx,y,z\nx,y2,z2\n")

@@ -403,14 +403,12 @@ class _ReferenceSession:
         *,
         bounds=None,
         observer=None,
-        iteration_limit=None,
     ):
         self.universe = universe
         self._mem_raw = mem
         self._eq_raw = eq
         self.bounds = bounds
         self.observer = observer
-        self.iteration_limit = iteration_limit
 
         self._mem_cache = {}
         self.membership_queries = 0
@@ -458,8 +456,6 @@ class _ReferenceSession:
         return len(self.negatives) + (self.bounds.limit - spent)
 
     def _iteration_cap(self):
-        if self.iteration_limit is not None:
-            return self.iteration_limit
         if self.bounds is not None:
             n_bound = self.bounds.limit
         else:
@@ -734,7 +730,7 @@ def test_iteration_limit_enforced(golden_target):
             u,
             teacher.membership_answer,
             teacher.equivalence_answer,
-            iteration_limit=1,
+            bounds=TheoreticalBounds(u.n, 0),  # a run cap of 0 iterations
         )
 
 

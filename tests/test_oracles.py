@@ -1,5 +1,6 @@
 """Teacher strategies, counterexample validation and query accounting."""
 
+import functools
 import random
 
 import pytest
@@ -547,7 +548,9 @@ def test_random_relation_teacher_matches_the_text_reference(monkeypatch):
             teacher = RelationTeacher(target, AttributeSchema(target.universe.names),
                                       "random", seed)
             answer = teacher.equivalence_answer(hypothesis)
-            got.append((answer.rows, teacher._rng.getstate()))
+            # None exactly when the proper clauses have the target's models
+            assert (answer is None) == (_proper_models(hypothesis) == model_bitset(target))
+            got.append((answer and answer.rows, teacher._rng.getstate()))
         return got
 
     fast = [_relation_run(t, seed) for seed, t in enumerate(targets)]
@@ -557,7 +560,8 @@ def test_random_relation_teacher_matches_the_text_reference(monkeypatch):
     assert fast == slow
     assert any(len(rows) > 2 for witnesses, *_ in fast for rows in witnesses if rows)
     assert fast_answers == answers()
-    assert {len(rows) for rows, _ in fast_answers} >= {2, 3}
+    assert {len(rows) for rows, _ in fast_answers if rows} >= {2, 3}
+    assert any(rows is None for rows, _ in fast_answers)
 
 
 def test_relation_teacher_small_membership_matches_holds():
@@ -636,6 +640,159 @@ def test_random_relation_teacher_rejects_a_foreign_hypothesis():
     hypothesis = MvdFormula(other, [parse_clause("b -> a | c", other)])
     with pytest.raises(UniverseMismatchError):
         teacher.equivalence_answer(hypothesis)
+
+
+@pytest.mark.parametrize("strategy, script, message", [
+    ("greedy", None, "unknown strategy 'greedy'"),
+    ("scripted", None, "scripted strategy needs a script"),
+    ("random", [], "a script only makes sense with the scripted strategy"),
+])
+@pytest.mark.parametrize("examples", ["interpretations", "horn", "relations"])
+def test_teachers_reject_a_bad_strategy_or_script(examples, strategy, script, message):
+    u = numbered_universe(3)
+    target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
+    with pytest.raises(ValueError, match=message):
+        if examples == "interpretations":
+            MvdfInterpretationTeacher(target, strategy, script=script)
+        elif examples == "horn":
+            EntailmentTeacher(target, "horn", strategy, script=script)
+        else:
+            RelationTeacher(target, AttributeSchema(u.names), strategy, script=script)
+
+
+def test_membership_over_another_universe_is_rejected():
+    u = numbered_universe(3)
+    target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
+    other = VariableUniverse(["a", "b", "c"])
+    foreign_schema = AttributeSchema(other.names)
+    asked = [
+        (MvdfInterpretationTeacher(target), Interpretation.from_bits(other, "100")),
+        (EntailmentTeacher(target, "horn"), HornClause(other, 0b001, 1)),
+        (EntailmentTeacher(target, "quasi2"), parse_clause("a -> b c", other, "quasi2")),
+        (RelationTeacher(target, AttributeSchema(u.names)),
+         Relation(foreign_schema, [("x", "y", "z"), ("x", "w", "v")])),
+    ]
+    for teacher, example in asked:
+        with pytest.raises(UniverseMismatchError):
+            teacher.membership_answer(example)
+        assert teacher.stats["membership_queries"] == 0
+
+
+@pytest.mark.parametrize("examples", ["interpretations", "horn", "quasi2", "relations"])
+def test_scripted_entry_over_another_universe_is_rejected(examples):
+    # each entry would sit on a marked pair if its universe were ignored
+    u = VariableUniverse(["a", "b", "c"])
+    other = VariableUniverse(["x", "y", "z"])
+    if examples == "interpretations":
+        target = MvdFormula(u, [parse_clause("a -> b | c", u)])
+        entry = Interpretation.from_bits(other, "100")
+        teacher = MvdfInterpretationTeacher(target, "scripted", script=[entry])
+    elif examples == "relations":
+        target = MvdFormula(u, [parse_clause("a -> b | c", u)])
+        entry = Relation(AttributeSchema(other.names), [("0", "0", "0"), ("0", "1", "1")])
+        teacher = RelationTeacher(target, AttributeSchema(u.names), "scripted", script=[entry])
+    else:
+        target = parse_formula("vars: a b c\na -> b\n", "horn")
+        entry = parse_clause("x -> y", other, examples)
+        teacher = EntailmentTeacher(target, examples, "scripted", script=[entry])
+    with pytest.raises(UniverseMismatchError):
+        teacher.equivalence_answer(MvdFormula(u))
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "random", "scripted"])
+@pytest.mark.parametrize("extra", ["a b -> c d | -", "* -> F"])
+def test_relation_teacher_ignores_one_sided_clauses(extra, strategy):
+    # both clauses hold in every relation, so the hypothesis is equivalent
+    u = VariableUniverse(["a", "b", "c", "d"])
+    target = MvdFormula(u, [parse_clause("a -> b | c d", u)])
+    hypothesis = MvdFormula(u, [*target.clauses, parse_clause(extra, u)])
+    teacher = RelationTeacher(target, AttributeSchema(u.names), strategy, seed=1,
+                              script=[] if strategy == "scripted" else None)
+    assert teacher.equivalence_answer(hypothesis) is None
+
+
+def _differential_cases(kind, rng):
+    """(target, hypotheses, example space) at n = 2..4; the hypotheses are
+    random formulas with and without one-sided clauses."""
+    for n in range(2, 5):
+        u = numbered_universe(n)
+        if kind == "horn":
+            space = list(enumerate_horn_clauses(u))
+        elif kind == "quasi2":
+            space = [*enumerate_quasi2_clauses(u), *enumerate_horn_clauses(u)]
+        else:
+            space = [Interpretation(u, mask) for mask in range(1 << n)]
+        for _ in range(3):
+            if kind == "horn":
+                target = random_definite_horn(u, rng)
+            else:
+                target = random_target(u, rng, max_clauses=3, allow_degenerate=False)
+            hypotheses = [
+                random_target(u, rng, max_clauses=3, allow_degenerate=degenerate)
+                for degenerate in (False, True, True)
+            ]
+            yield target, hypotheses, space
+
+
+@pytest.mark.parametrize("kind", ["assignments", "horn", "quasi2"])
+def test_membership_and_scripted_entries_match_the_plain_definitions(kind):
+    # membership is `satisfies` / `entails` on the target; a scripted entry
+    # is released exactly when it separates target and hypothesis
+    if kind == "assignments":
+        make = MvdfInterpretationTeacher
+        plain = satisfies
+    else:
+        make = functools.partial(EntailmentTeacher, kind=kind)
+        plain = lambda example, formula: entails(formula, example)  # noqa: E731
+    rng = random.Random(31)
+    verdicts = set()
+    for target, hypotheses, space in _differential_cases(kind, rng):
+        teacher = make(target)
+        for example in space:
+            assert teacher.membership_answer(example) == plain(example, target)
+        for hypothesis in hypotheses:
+            for example in space:
+                separates = plain(example, target) != plain(example, hypothesis)
+                scripted = make(target, strategy="scripted", script=[example])
+                try:
+                    released = scripted.equivalence_answer(hypothesis) == example
+                except OracleContractError:
+                    released = False
+                assert released == separates
+                verdicts.add(separates)
+    assert verdicts == {True, False}
+
+
+def test_relation_membership_and_scripted_entries_match_holds():
+    # 2- and 3-row binary relations, judged by `mvd_holds` on the proper
+    # clauses, against hypotheses with and without one-sided clauses
+    rng = random.Random(32)
+    verdicts = set()
+    for target, hypotheses, space in _differential_cases("assignments", rng):
+        u = target.universe
+        schema = AttributeSchema(u.names)
+        pairs = [(a, b) for a in range(1 << u.n) for b in range(a + 1, 1 << u.n)]
+        relations = [_binary_relation(schema, rows) for rows in pairs] + [
+            _binary_relation(schema, rng.sample(range(1 << u.n), 3)) for _ in range(20)
+        ]
+
+        def plain(relation, formula):
+            return all(mvd_holds(relation, c) for c in formula.clauses if c.is_proper)
+
+        teacher = RelationTeacher(target, schema)
+        for relation in relations:
+            assert teacher.membership_answer(relation) == plain(relation, target)
+        for hypothesis in hypotheses:
+            for relation in relations:
+                separates = plain(relation, target) != plain(relation, hypothesis)
+                scripted = RelationTeacher(target, schema, "scripted", script=[relation])
+                try:
+                    released = scripted.equivalence_answer(hypothesis) is relation
+                except OracleContractError:
+                    released = False
+                assert released == separates
+                verdicts.add((len(relation), separates))
+    assert verdicts == {(size, v) for size in (2, 3) for v in (True, False)}
 
 
 # ---------------------------------------------------------------------------
