@@ -105,7 +105,7 @@ def _add_oracle_args(sub):
     sub.add_argument("--output", choices=("text", "trace"), default="text",
                      help="print the hypothesis only, or the trace records too")
     sub.add_argument("--max-vars", type=int, default=DEFAULT_ENUM_CAP,
-                     help="enumeration cap on the universe size")
+                     help="enumeration cap of the target's universe (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -144,7 +144,8 @@ def build_parser() -> _Parser:
     p.add_argument("--clause", required=True, help="clause in the file grammar")
     p.add_argument("--kind", choices=("auto", "mvd", "horn", "quasi2"), default="auto",
                    help="clause kind (auto: mvd when a `|` or F is present, horn otherwise)")
-    p.add_argument("--max-vars", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--max-vars", type=int, default=DEFAULT_ENUM_CAP,
+                   help="enumeration cap of the formula's universe (default %(default)s)")
 
     return parser
 
@@ -202,10 +203,10 @@ class _Learning(NamedTuple):
 
     formula_kind: str  # grammar of the target file
     script_kind: str  # entry kind of --script files
-    teacher: Callable  # (target, strategy, seed, script, cap) -> teacher
+    teacher: Callable  # (target, strategy, seed, script) -> teacher
     reduction: Optional[Callable]  # teacher -> ReductionPair; None: no translation
     clause_factor: int  # factor on the target's clause count in the bounds
-    extract: Optional[Callable]  # (learned formula, cap) -> printed result; None: as learned
+    extract: Optional[Callable]  # learned formula -> printed result; None: as learned
 
 
 _LEARNING = {
@@ -226,18 +227,18 @@ _LEARNING = {
     ("learn-horn", "interpretations"): _Learning(
         "horn", "interpretation",
         lambda target, *opts: MvdfInterpretationTeacher(target, *opts),
-        None, 2, lambda learned, cap: mvdf_to_horn(learned, cap),
+        None, 2, lambda learned: mvdf_to_horn(learned),
     ),
     ("learn-horn", "entailments"): _Learning(
         "horn", "horn",
         lambda target, *opts: EntailmentTeacher(target, "horn", *opts),
-        lambda teacher: horn_entailment_reduction(teacher.cap), 2,
-        lambda learned, cap: mvdf_to_horn(learned, cap, strict=False),
+        lambda teacher: horn_entailment_reduction(), 2,
+        lambda learned: mvdf_to_horn(learned, strict=False),
     ),
     "learn-q": _Learning(
         "mvd", "quasi2",
         lambda target, *opts: EntailmentTeacher(target, "quasi2", *opts),
-        lambda teacher: quasi2_reduction(teacher.cap), 1, None,
+        lambda teacher: quasi2_reduction(), 1, None,
     ),
 }
 
@@ -245,17 +246,17 @@ _LEARNING = {
 def _cmd_learn(args) -> int:
     key = (args.command, args.examples) if args.command == "learn-horn" else args.command
     row = _LEARNING[key]
-    target = parse_formula(_read_text(args.target), row.formula_kind)
+    target = parse_formula(_read_text(args.target), row.formula_kind, args.max_vars)
     universe = target.universe
     script = _load_script(args, row.script_kind, universe)
-    teacher = row.teacher(target, _STRATEGY[args.oracle], args.seed, script, args.max_vars)
+    teacher = row.teacher(target, _STRATEGY[args.oracle], args.seed, script)
     mem, eq = teacher.membership_answer, teacher.equivalence_answer
     if row.reduction is not None:
         mem, eq = translate_oracles(row.reduction(teacher), mem, eq)
     bounds = TheoreticalBounds(universe.n, row.clause_factor * len(target.clauses))
     session = LearnerSession(universe, mem, eq, bounds=bounds)
     learned = session.run()
-    result = learned if row.extract is None else row.extract(learned, teacher.cap)
+    result = learned if row.extract is None else row.extract(learned)
     _emit_run(session, result, teacher, args)
     return 0
 
@@ -274,13 +275,13 @@ def _cmd_check_mvd(args) -> int:
 
 
 def _cmd_entails(args) -> int:
-    formula = parse_formula(_read_text(args.formula), args.formula_kind)
+    formula = parse_formula(_read_text(args.formula), args.formula_kind, args.max_vars)
     kind = args.kind
     if kind == "auto":
         tokens = args.clause.split()
         kind = "mvd" if "|" in tokens or tokens[-1:] == ["F"] else "horn"
     clause = parse_clause(args.clause, formula.universe, kind)
-    answer = entails(formula, clause, cap=args.max_vars)
+    answer = entails(formula, clause)
     print("yes" if answer else "no")
     return 0
 

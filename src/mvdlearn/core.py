@@ -22,8 +22,8 @@ true and every consequent variable is false.
 Entailment and equivalence between formulas are decided by enumerating all
 ``2**n`` assignments; every assignment-set is held as one big integer whose
 bit ``m`` says whether mask ``m`` is a model.  This keeps the checks exact
-and fast at desk scale, and the enumeration cap guards against accidental
-blow-ups.
+and fast at desk scale, and each universe's enumeration cap, set once when
+the universe is built, guards against accidental blow-ups.
 """
 
 from __future__ import annotations
@@ -46,15 +46,17 @@ class VariableUniverse:
 
     The position of a name in ``names`` is its bit index in every mask-based
     value built over the universe; the mapping is fixed for the lifetime of
-    the instance.  Instances compare equal when their name sequences match.
+    the instance, and so is ``cap``, the largest ``n`` it may be enumerated
+    at.  Instances compare and hash equal when their name sequences match,
+    whatever their caps; a pickled universe keeps its cap.
     """
 
     __slots__ = (
-        "names", "_hash", "_index", "_var_patterns", "_layers", "_violator_cache",
+        "names", "cap", "_hash", "_index", "_var_patterns", "_layers", "_violator_cache",
         "__weakref__",
     )
 
-    def __init__(self, names: Iterable[str]):
+    def __init__(self, names: Iterable[str], cap: int = DEFAULT_ENUM_CAP):
         names = tuple(names)
         if not names:
             raise ValueError("universe needs at least one variable")
@@ -68,6 +70,7 @@ class VariableUniverse:
                 raise ValueError(f"duplicate variable name: {name!r}")
             seen.add(name)
         self.names = names
+        self.cap = cap
         # every clause hash hashes its universe; the name tuple never changes
         self._hash = hash(names)
         self._index = {name: i for i, name in enumerate(names)}
@@ -110,7 +113,7 @@ class VariableUniverse:
 
     def __reduce__(self):
         # rebuilt from the names, so the hash is taken in the loading process
-        return VariableUniverse, (self.names,)
+        return VariableUniverse, (self.names, self.cap)
 
     def __repr__(self):
         return f"VariableUniverse({list(self.names)!r})"
@@ -179,10 +182,10 @@ def _require_same_universe(*items) -> VariableUniverse:
     return universe
 
 
-def require_enumerable(universe: VariableUniverse, cap: int = DEFAULT_ENUM_CAP) -> None:
-    if universe.n > cap:
+def require_enumerable(universe: VariableUniverse) -> None:
+    if universe.n > universe.cap:
         raise EnumerationCapError(
-            f"universe has {universe.n} variables, enumeration cap is {cap}"
+            f"universe has {universe.n} variables, enumeration cap is {universe.cap}"
         )
 
 
@@ -580,7 +583,7 @@ def violator_bitset(clause: Clause) -> int:
     return bits
 
 
-def model_bitset(formula, cap: int = DEFAULT_ENUM_CAP) -> int:
+def model_bitset(formula) -> int:
     """Bitset over all 2**n masks marking the models of ``formula``.
 
     The complement of the union of the clauses' violator sets: one OR per
@@ -592,7 +595,7 @@ def model_bitset(formula, cap: int = DEFAULT_ENUM_CAP) -> int:
     sets of the clauses that are new.
     """
     universe = formula.universe
-    require_enumerable(universe, cap)
+    require_enumerable(universe)
     cache = universe._violator_cache
     kept = {}
     violated = 0
@@ -607,7 +610,7 @@ def model_bitset(formula, cap: int = DEFAULT_ENUM_CAP) -> int:
     return ((1 << (1 << universe.n)) - 1) ^ violated
 
 
-def entails(formula, clause: Clause, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def entails(formula, clause: Clause) -> bool:
     """True when every model of ``formula`` satisfies ``clause``.
 
     The clause is judged under its own kind's semantics, so the same call
@@ -616,24 +619,24 @@ def entails(formula, clause: Clause, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """
     if clause.universe != formula.universe:
         raise UniverseMismatchError("clause universe differs from formula universe")
-    return model_bitset(formula, cap) & violator_bitset(clause) == 0
+    return model_bitset(formula) & violator_bitset(clause) == 0
 
 
-def equivalent(f1, f2, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def equivalent(f1, f2) -> bool:
     """Model-set equality, decided by enumeration."""
     if f1.universe != f2.universe:
         raise UniverseMismatchError("formulas over different universes")
-    return model_bitset(f1, cap) == model_bitset(f2, cap)
+    return model_bitset(f1) == model_bitset(f2)
 
 
-def find_counterexample(f1, f2, cap: int = DEFAULT_ENUM_CAP):
+def find_counterexample(f1, f2):
     """First assignment (canonical order) on which the two formulas disagree.
 
     Returns ``None`` when the model sets coincide.
     """
     if f1.universe != f2.universe:
         raise UniverseMismatchError("formulas over different universes")
-    diff = model_bitset(f1, cap) ^ model_bitset(f2, cap)
+    diff = model_bitset(f1) ^ model_bitset(f2)
     mask = canonical_select(diff, f1.universe, 0)
     return None if mask is None else Interpretation(f1.universe, mask)
 
@@ -786,11 +789,11 @@ def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, body
 
 
-def parse_formula(text: str, kind: str = "mvd"):
+def parse_formula(text: str, kind: str = "mvd", cap: int = DEFAULT_ENUM_CAP):
     """Parse formula text into an :class:`MvdFormula` or :class:`HornFormula`.
 
     The first non-comment line must declare the universe (``vars: ...``);
-    the remaining lines hold one clause each.
+    the remaining lines hold one clause each.  The universe's cap is ``cap``.
     """
     if kind not in ("mvd", "horn"):
         raise ValueError(f"unknown formula kind: {kind!r}")
@@ -803,7 +806,7 @@ def parse_formula(text: str, kind: str = "mvd"):
     if tokens[0] != "vars:" or len(tokens) < 2:
         raise ParseError("first line must be `vars: <name> ...`", line_no)
     try:
-        universe = VariableUniverse(tokens[1:])
+        universe = VariableUniverse(tokens[1:], cap)
     except ValueError as exc:
         raise ParseError(str(exc), line_no) from None
     clauses = []

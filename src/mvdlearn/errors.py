@@ -16,7 +16,7 @@ class UniverseMismatchError(MvdLearnError):
 
 class EnumerationCapError(MvdLearnError):
     """An exhaustive-enumeration operation was asked to run over a universe
-    larger than the configured cap."""
+    larger than that universe's cap (``VariableUniverse.cap``)."""
 
 
 class ParseError(MvdLearnError):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    DEFAULT_ENUM_CAP,
     HornClause,
     Interpretation,
     MvdFormula,
@@ -116,8 +115,7 @@ class _TeacherBase:
 
     _marks_members = True
 
-    def __init__(self, target, strategy="exhaustive", seed=0, script=None,
-                 cap=DEFAULT_ENUM_CAP):
+    def __init__(self, target, strategy="exhaustive", seed=0, script=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         if strategy == "scripted":
@@ -130,7 +128,6 @@ class _TeacherBase:
             self._script = None
         self.target = target
         self.universe = target.universe
-        self.cap = cap
         self.strategy = strategy
         self._rng = random.Random(seed)
         self._cursor = 0
@@ -138,7 +135,7 @@ class _TeacherBase:
         self._target_sets = self._answer_sets(target)
 
     def _answer_sets(self, formula) -> dict:
-        return {0: model_bitset(formula, self.cap)}
+        return {0: model_bitset(formula)}
 
     def membership_answer(self, example) -> bool:
         x, s = self._position(example)
@@ -237,12 +234,11 @@ class EntailmentTeacher(_TeacherBase):
 
     _marks_members = False
 
-    def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None,
-                 cap=DEFAULT_ENUM_CAP):
+    def __init__(self, target, kind, strategy="exhaustive", seed=0, script=None):
         if kind not in _CLAUSE_TYPES:
             raise ValueError(f"unknown entailment kind {kind!r}")
         self.kind = kind
-        super().__init__(target, strategy, seed, script, cap)
+        super().__init__(target, strategy, seed, script)
 
     def _answer_sets(self, formula) -> dict:
         """``{S: antecedents}`` for each consequent set S of the space, where
@@ -255,7 +251,7 @@ class EntailmentTeacher(_TeacherBase):
         X = V.
         """
         universe = self.universe
-        models = model_bitset(formula, self.cap)
+        models = model_bitset(formula)
         singles = [1 << v for v in range(universe.n)]
         sets = {}
         if self.kind == "horn":
@@ -339,7 +335,7 @@ class RelationTeacher(_TeacherBase):
     random_tries = 20  # candidate relations drawn per random counterexample
 
     def __init__(self, target: MvdFormula, schema: AttributeSchema,
-                 strategy="exhaustive", seed=0, script=None, cap=DEFAULT_ENUM_CAP):
+                 strategy="exhaustive", seed=0, script=None):
         if schema.attributes != target.universe.names:
             raise UniverseMismatchError("schema does not match the target universe")
         for clause in target.clauses:
@@ -347,13 +343,13 @@ class RelationTeacher(_TeacherBase):
                 raise ValueError("relation teachers require proper dependencies")
         self.schema = schema
         self._target_masks = _clause_masks(target)
-        super().__init__(target, strategy, seed, script, cap)
+        super().__init__(target, strategy, seed, script)
 
     def _answer_sets(self, formula) -> dict:
         clauses = formula.clauses
         if not all(c.is_proper for c in clauses):
             formula = MvdFormula(formula.universe, [c for c in clauses if c.is_proper])
-        return {0: model_bitset(formula, self.cap)}
+        return {0: model_bitset(formula)}
 
     def holds(self, relation: Relation, formula) -> bool:
         return all(mvd_holds(relation, clause) for clause in formula.clauses)

@@ -26,12 +26,10 @@ throughout.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    DEFAULT_ENUM_CAP,
     HornClause,
     HornFormula,
     Interpretation,
@@ -167,11 +165,13 @@ def relation_reduction(schema: AttributeSchema) -> ReductionPair:
     )
 
 
-def learn_mvd_from_relations(schema: AttributeSchema, mem_relation, eq_relation,
+def learn_mvd_from_relations(universe: VariableUniverse, mem_relation, eq_relation,
                              **session_kwargs) -> MvdFormula:
-    """Learn a set of proper dependencies from relation oracles."""
-    mem, eq = translate_oracles(relation_reduction(schema), mem_relation, eq_relation)
-    return learn(schema.to_universe(), mem, eq, **session_kwargs)
+    """Learn a set of proper dependencies from relation oracles over the
+    schema of ``universe``'s names."""
+    reduction = relation_reduction(AttributeSchema(universe.names))
+    mem, eq = translate_oracles(reduction, mem_relation, eq_relation)
+    return learn(universe, mem, eq, **session_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,7 @@ def _unit_closure(start: int, universe: VariableUniverse, derivable) -> int:
     return current
 
 
-def horn_f_eq(clause: HornClause, hypothesis, mem_entail,
-              cap: int = DEFAULT_ENUM_CAP) -> Interpretation:
+def horn_f_eq(clause: HornClause, hypothesis, mem_entail) -> Interpretation:
     """Turn a Horn-clause counterexample into an assignment counterexample.
 
     When the hypothesis does not entail the clause, the first hypothesis
@@ -229,12 +228,11 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail,
     (so the target does not), the antecedent is closed under
     target-entailed unit consequences, spending membership queries; the
     closure is a target model that breaks the clause and hence the
-    hypothesis.  ``cap`` is the enumeration cap of the hypothesis's model
-    set.
+    hypothesis.
     """
     universe = clause.universe
     # a Horn clause's violators are exactly the assignments realizing it
-    realizing = model_bitset(hypothesis, cap) & violator_bitset(clause)
+    realizing = model_bitset(hypothesis) & violator_bitset(clause)
     if realizing:
         return Interpretation(universe, canonical_select(realizing, universe, 0))
     closure = _unit_closure(
@@ -245,11 +243,11 @@ def horn_f_eq(clause: HornClause, hypothesis, mem_entail,
     return Interpretation(universe, closure)
 
 
-def horn_entailment_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
-    return ReductionPair(f_mem=horn_f_mem, f_eq=functools.partial(horn_f_eq, cap=cap))
+def horn_entailment_reduction() -> ReductionPair:
+    return ReductionPair(f_mem=horn_f_mem, f_eq=horn_f_eq)
 
 
-def mvdf_to_horn(formula, cap: int = DEFAULT_ENUM_CAP, strict: bool = True) -> HornFormula:
+def mvdf_to_horn(formula, strict: bool = True) -> HornFormula:
     """The Duquenne-Guigues basis of ``formula``'s models.
 
     The models and V are the closed masks, and the closure of a mask is
@@ -268,12 +266,11 @@ def mvdf_to_horn(formula, cap: int = DEFAULT_ENUM_CAP, strict: bool = True) -> H
     intersection closure of the models, where a mask m is closed when, for
     every variable v outside m, some model containing m lacks v; the basis
     is then that of the strongest Horn consequence of ``formula``.  No
-    closure changes, so the premises found so far stay.  ``cap`` is the
-    enumeration cap of the formula's model set.
+    closure changes, so the premises found so far stay.
     """
     universe = formula.universe
     sup = universe.superset_pattern
-    models = model_bitset(formula, cap)
+    models = model_bitset(formula)
     top = 1 << universe.full_mask
     closed = models | top
     todo = (top << 1) - 1
@@ -397,8 +394,7 @@ def qh_ce_to_mvd(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> MvdClause:
     return MvdClause(universe, x, y, z)
 
 
-def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi,
-                            cap: int = DEFAULT_ENUM_CAP) -> Interpretation:
+def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> Interpretation:
     """Assignment counterexample matching a two-literal counterexample.
 
     Enumerates, in the canonical order, the assignments that make the
@@ -407,13 +403,12 @@ def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi,
     the first one that is a target model is returned, spending queries
     through :func:`qh_f_mem`; otherwise the first hypothesis model, with no
     queries.  Existence is guaranteed while the clause really separates
-    target and hypothesis.  ``cap`` is the enumeration cap of the
-    hypothesis's model set.
+    target and hypothesis.
     """
     universe = clause.universe
     violators = violator_bitset(clause)
-    if not entails(hypothesis, clause, cap):
-        mask = canonical_select(model_bitset(hypothesis, cap) & violators, universe, 0)
+    if not entails(hypothesis, clause):
+        mask = canonical_select(model_bitset(hypothesis) & violators, universe, 0)
         return Interpretation(universe, mask)
     for rank in range(violators.bit_count()):
         interp = Interpretation(universe, canonical_select(violators, universe, rank))
@@ -425,10 +420,8 @@ def qh_interp_ce_substitute(clause: QuasiHorn2Clause, hypothesis, mem_quasi,
     )
 
 
-def quasi2_reduction(cap: int = DEFAULT_ENUM_CAP) -> ReductionPair:
-    return ReductionPair(
-        f_mem=qh_f_mem, f_eq=functools.partial(qh_interp_ce_substitute, cap=cap)
-    )
+def quasi2_reduction() -> ReductionPair:
+    return ReductionPair(f_mem=qh_f_mem, f_eq=qh_interp_ce_substitute)
 
 
 def learn_mvdf_from_quasi2(universe: VariableUniverse, mem_quasi, eq_quasi,

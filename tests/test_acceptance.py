@@ -250,7 +250,7 @@ def test_criterion_6_dependencies_from_relations():
             target, schema, "random" if trial % 2 else "exhaustive", seed=trial
         )
         got = learn_mvd_from_relations(
-            schema, teacher.membership_answer, teacher.equivalence_answer
+            u, teacher.membership_answer, teacher.equivalence_answer
         )
         assert find_counterexample(got, target) is None
 

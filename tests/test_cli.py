@@ -154,6 +154,27 @@ def test_max_vars_above_the_default_cap_reaches_the_extraction(tmp_path):
     assert b"  1 2 -> 3\n" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--target", "{mvdf}"],
+    ["learn-mvd", "--target", "{mvdf}"],
+    ["learn-q", "--target", "{mvdf}"],
+    ["learn-horn", "--target", "{horn}", "--examples", "interpretations"],
+    ["learn-horn", "--target", "{horn}", "--examples", "entailments"],
+    ["entails", "--formula", "{mvdf}", "--clause", "A -> B | C"],
+], ids=["learn", "learn-mvd", "learn-q", "learn-horn-interpretations",
+        "learn-horn-entailments", "entails"])
+def test_max_vars_is_the_universe_cap_of_every_enumerating_command(tmp_path, capsys, argv):
+    mvdf = tmp_path / "t.mvdf"
+    mvdf.write_text("vars: A B C\nA -> B | C\n")
+    horn = tmp_path / "t.horn"
+    horn.write_text("vars: A B C\nA -> B\n")
+    argv = [arg.format(mvdf=mvdf, horn=horn) for arg in argv]
+    code, out, err = run_main(capsys, argv + ["--max-vars", "2"])
+    assert (code, out, err) == (2, "", "mvdlearn: universe has 3 variables, enumeration cap is 2\n")
+    code, out, err = run_main(capsys, argv + ["--max-vars", "3"])
+    assert (code, err) == (0, "") and out
+
+
 def test_learn_mvd_and_learn_q(tmp_path, capsys):
     target = tmp_path / "t.mvdf"
     target.write_text("vars: A B C\nA -> B | C\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mvdlearn import (
+    DEFAULT_ENUM_CAP,
     EnumerationCapError,
     HornClause,
     Interpretation,
@@ -134,6 +135,12 @@ def test_universe_hash_follows_its_names():
     copy = pickle.loads(pickle.dumps(u))
     assert copy == u and hash(copy) == hash(u)
     assert copy._layers is None  # rebuilt from the names, caches left behind
+    # the cap travels with the universe but takes no part in its identity
+    wide = VariableUniverse(u.names, cap=30)
+    assert (u.cap, wide.cap) == (DEFAULT_ENUM_CAP, 30)
+    assert wide == u and hash(wide) == hash(u)
+    copy = pickle.loads(pickle.dumps(wide))
+    assert copy.cap == 30 and copy == wide and hash(copy) == hash(wide)
 
 
 def test_interpretation_bits_round_trip():
@@ -475,12 +482,19 @@ def test_find_counterexample_agrees_with_mutual_entailment():
 
 
 def test_enumeration_cap():
-    u = numbered_universe(6)
+    u = VariableUniverse(numbered_universe(6).names, cap=5)
     f = MvdFormula(u, [false_clause(u)])
-    with pytest.raises(EnumerationCapError):
-        model_bitset(f, cap=5)
-    with pytest.raises(EnumerationCapError):
-        find_counterexample(f, f, cap=5)
+    for check in (
+        lambda: model_bitset(f),
+        lambda: entails(f, false_clause(u)),
+        lambda: equivalent(f, f),
+        lambda: find_counterexample(f, f),
+    ):
+        with pytest.raises(EnumerationCapError,
+                           match="universe has 6 variables, enumeration cap is 5"):
+            check()
+    f = parse_formula("vars: 1 2 3 4 5 6\n* -> F\n", cap=6)
+    assert f.universe.cap == 6 and find_counterexample(f, f) is None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from mvdlearn import (
     OracleContractError,
     QuasiHorn2Clause,
     Relation,
+    VariableUniverse,
     agreement_interp,
     entails,
     equivalent,
@@ -383,31 +384,70 @@ def test_horn_f_eq_matches_the_reference_scan():
 
 
 def test_reductions_and_extractions_take_the_enumeration_cap():
-    u = numbered_universe(4)
-    target = horn_formula_to_mvd(HornFormula(u, [HornClause(u, 0b0001, 1)]))
-    hypo = MvdFormula(u)
+    # four variables under caps 3, 4 and the default: every translation,
+    # extraction and composed learner enumerates under the cap of the
+    # universe it is given, with no cap argument of its own
+    default = numbered_universe(4)
+    horn_target = HornFormula(default, [HornClause(default, 0b0001, 1)])
+    mvd_target = MvdFormula(default, [parse_clause("1 -> 2 | 3 4", default)])
+    schema = AttributeSchema(default.names)
+
+    def oracles(teacher):
+        return teacher.membership_answer, teacher.equivalence_answer
+
+    def calls(u):
+        target = horn_formula_to_mvd(HornFormula(u, [HornClause(u, 0b0001, 1)]))
+        hypo = MvdFormula(u)
+
+        def mem(clause):
+            return entails(target, clause)
+
+        horn_ce = HornClause(u, 0b0001, 1)
+        quasi_ce = QuasiHorn2Clause(u, 0b0001, frozenset((1, 2)))
+        # the teachers' targets stay at the default cap; the learners'
+        # hypotheses and extractions are over u
+        return [
+            lambda: horn_entailment_reduction().f_eq(horn_ce, hypo, mem),
+            lambda: quasi2_reduction().f_eq(quasi_ce, hypo, mem),
+            lambda: qh_ce_to_mvd(quasi_ce, hypo, mem),
+            lambda: mvdf_to_horn(target),
+            lambda: mvdf_to_horn(target, strict=False),
+            lambda: horn_i_via_mvdf(u, *oracles(MvdfInterpretationTeacher(horn_target))),
+            lambda: learn_horn_from_entailments(
+                u, *oracles(EntailmentTeacher(horn_target, "horn"))
+            ),
+            lambda: learn_mvdf_from_quasi2(
+                u, *oracles(EntailmentTeacher(mvd_target, "quasi2"))
+            ),
+            lambda: learn_mvd_from_relations(u, *oracles(RelationTeacher(mvd_target, schema))),
+        ]
+
+    capped, enough = (VariableUniverse(default.names, cap=cap) for cap in (3, 4))
+    for at_3, at_4, at_default in zip(calls(capped), calls(enough), calls(default)):
+        with pytest.raises(EnumerationCapError, match="enumeration cap is 3"):
+            at_3()
+        assert at_4() == at_default()
+    targets = (horn_target, horn_target, mvd_target, mvd_target)
+    for learn_at_4, target in zip(calls(enough)[-4:], targets):
+        assert equivalent(learn_at_4(), target)
+
+
+def test_entry_points_learn_past_the_default_cap():
+    # n = 25 is one past the default cap of 24: the Horn learner and the
+    # two-literal counterexample growth both enumerate under the cap of the
+    # universe they are given
+    u = VariableUniverse([str(i) for i in range(1, 26)], cap=25)
+    target = HornFormula(u, [HornClause(u, 0b011, 2)])
+    teacher = MvdfInterpretationTeacher(target)
+    got = horn_i_via_mvdf(u, teacher.membership_answer, teacher.equivalence_answer)
+    assert got == target
 
     def mem(clause):
-        return entails(target, clause)
+        return False  # a target that entails no two-literal clause
 
-    horn_ce = HornClause(u, 0b0001, 1)
-    quasi_ce = QuasiHorn2Clause(u, 0b0001, frozenset((1, 2)))
-    calls = [
-        lambda cap: horn_entailment_reduction(cap).f_eq(horn_ce, hypo, mem),
-        lambda cap: quasi2_reduction(cap).f_eq(quasi_ce, hypo, mem),
-        lambda cap: mvdf_to_horn(target, cap),
-        lambda cap: mvdf_to_horn(target, cap, strict=False),
-    ]
-    expected = [
-        horn_f_eq(horn_ce, hypo, mem),
-        qh_interp_ce_substitute(quasi_ce, hypo, mem),
-        mvdf_to_horn(target),
-        mvdf_to_horn(target, strict=False),
-    ]
-    for call, default in zip(calls, expected):
-        with pytest.raises(EnumerationCapError, match="enumeration cap is 3"):
-            call(3)
-        assert call(4) == default
+    clause = QuasiHorn2Clause(u, 0, frozenset({0, 1}))
+    grown = qh_ce_to_mvd(clause, MvdFormula(u), mem)
+    assert grown == MvdClause(u, 0, 0b01, u.full_mask & ~0b01)
 
 
 def test_mvdf_to_horn_reference_example():
@@ -940,7 +980,7 @@ def test_learn_mvd_from_relations_smoke():
             target, schema, "random" if trial % 2 else "exhaustive", seed=trial
         )
         got = learn_mvd_from_relations(
-            schema, teacher.membership_answer, teacher.equivalence_answer
+            u, teacher.membership_answer, teacher.equivalence_answer
         )
         assert find_counterexample(got, target) is None
 
@@ -982,7 +1022,7 @@ def test_empty_targets_learn_to_empty():
     empty_mvdf = MvdFormula(u)
     teacher = RelationTeacher(empty_mvdf, schema)
     got = learn_mvd_from_relations(
-        schema, teacher.membership_answer, teacher.equivalence_answer
+        u, teacher.membership_answer, teacher.equivalence_answer
     )
     assert len(got.clauses) == 0
 
