@@ -12,7 +12,8 @@ counterexample strategies are supported:
 * ``random``       - a uniform sample from the symmetric difference, driven
   by a caller-supplied seed: one ``randrange`` over the differing
   ``(X, S)`` pairs, counted off S-major (set by set, X in canonical order
-  within a set);
+  within a set); the relation teacher answers with the two-row relation of
+  the picked assignment, as it does under ``exhaustive``;
 * ``scripted``     - entries replayed from a list, each validated against
   the symmetric difference before release.
 
@@ -53,7 +54,6 @@ from .relations import (
     AttributeSchema,
     Relation,
     agreement_mask,
-    binary_row,
     interp_to_pair,
     mvd_holds,
     read_csv,
@@ -109,8 +109,9 @@ class _TeacherBase:
     target's sets are built once; an equivalence query XORs the
     hypothesis's into them, so the marked pairs are the symmetric
     difference, and a scripted entry must sit on one.  A subclass supplies
-    :meth:`_answer_sets`, :meth:`_position`, :meth:`_example` (built from
-    one :meth:`_pick`) and :meth:`_label` (an entry's name in errors).
+    :meth:`_answer_sets`, :meth:`_position`, :meth:`_example` (the example
+    at one :meth:`_pick` of the difference sets, which are all it reads)
+    and :meth:`_label` (an entry's name in errors).
     """
 
     _marks_members = True
@@ -154,7 +155,7 @@ class _TeacherBase:
         target = self._target_sets
         diffs = {s: target[s] ^ bits for s, bits in self._answer_sets(hypothesis).items()}
         if self.strategy != "scripted":
-            return self._example(diffs, hypothesis) if any(diffs.values()) else None
+            return self._example(diffs) if any(diffs.values()) else None
         if self._cursor == len(self._script):
             if any(diffs.values()):
                 raise OracleContractError(
@@ -202,7 +203,7 @@ class MvdfInterpretationTeacher(_TeacherBase):
             raise UniverseMismatchError("assignment over the wrong universe")
         return example.mask, 0
 
-    def _example(self, diffs, hypothesis) -> Interpretation:
+    def _example(self, diffs) -> Interpretation:
         return Interpretation(self.universe, self._pick(diffs)[0])
 
     def _label(self, number, entry) -> str:
@@ -276,7 +277,7 @@ class EntailmentTeacher(_TeacherBase):
             )
         return clause.antecedent, clause.consequent_mask
 
-    def _example(self, diffs, hypothesis):
+    def _example(self, diffs):
         x, s = self._pick(diffs)
         if self.kind == "horn":
             return HornClause(self.universe, x, s.bit_length() - 1 if s else None)
@@ -284,36 +285,6 @@ class EntailmentTeacher(_TeacherBase):
 
     def _label(self, number, entry) -> str:
         return f"entry {number} ({format_clause(entry)})"
-
-
-def _clause_masks(formula) -> list:
-    """``(x, y, z)`` masks of the formula's clauses, in order."""
-    return [(c.x_mask, c.y_mask, c.z_mask) for c in formula.clauses]
-
-
-def _candidate_holds(rows, pairs, models, clauses) -> bool:
-    """Whether every clause ``(x, y, z)`` of ``clauses`` holds in the binary
-    relation whose distinct rows are the int masks ``rows`` (bit i set: the
-    value of attribute i is "1").
-
-    ``pairs`` lists each row pair as ``(a, b, agree)`` with the agreement
-    mask ``agree = full ^ a ^ b``, and ``models`` is the relation teacher's
-    answer set of ``clauses``, the model set of their proper clauses.  A
-    pair breaks no clause when its agreement assignment is in ``models``.
-    Otherwise rows ``a`` and ``b`` with ``d = a ^ b`` break ``X -> Y | Z``
-    when they agree on X, differ on Y and on Z, and one of their swap rows
-    ``a ^ (d & Z)`` and ``b ^ (d & Z)`` is missing (Fagin 1977).  No pair
-    differs on an empty side, so a clause with one holds in every relation.
-    """
-    for a, b, agree in pairs:
-        if not models >> agree & 1:
-            d = a ^ b
-            for x, y, z in clauses:
-                if not d & x and d & y and d & z:
-                    dz = d & z
-                    if a ^ dz not in rows or b ^ dz not in rows:
-                        return False
-    return True
 
 
 class RelationTeacher(_TeacherBase):
@@ -327,12 +298,11 @@ class RelationTeacher(_TeacherBase):
     clauses.  Two rows satisfy a proper dependency exactly when their
     agreement assignment satisfies the clause, so membership on at most two
     rows is one bit of the target's model set; scripted relations and
-    membership on more rows go through :meth:`holds`.  Random candidates
-    are judged pair by pair (:func:`_candidate_holds`); when none differs,
-    the answer is the two-row relation of a picked assignment.
+    membership on more rows go through :meth:`holds`.  An equivalence
+    answer is the two-row relation (:func:`interp_to_pair`) of the one
+    :meth:`_pick` from the difference of the two model sets, so the
+    ``random`` answer is uniform over the differing assignments.
     """
-
-    random_tries = 20  # candidate relations drawn per random counterexample
 
     def __init__(self, target: MvdFormula, schema: AttributeSchema,
                  strategy="exhaustive", seed=0, script=None):
@@ -342,7 +312,6 @@ class RelationTeacher(_TeacherBase):
             if not clause.is_proper:
                 raise ValueError("relation teachers require proper dependencies")
         self.schema = schema
-        self._target_masks = _clause_masks(target)
         super().__init__(target, strategy, seed, script)
 
     def _answer_sets(self, formula) -> dict:
@@ -365,11 +334,7 @@ class RelationTeacher(_TeacherBase):
             return True
         return bool(self._target_sets[0] >> agreement_mask(rows[0], rows[-1]) & 1)
 
-    def _example(self, diffs, hypothesis) -> Relation:
-        if self.strategy == "random":
-            found = self._random_relation(hypothesis, diffs[0])
-            if found is not None:
-                return found
+    def _example(self, diffs) -> Relation:
         return interp_to_pair(Interpretation(self.universe, self._pick(diffs)[0]), self.schema)
 
     def _separates(self, entry, diffs, hypothesis) -> bool:
@@ -377,52 +342,6 @@ class RelationTeacher(_TeacherBase):
 
     def _label(self, number, entry) -> str:
         return f"relation {number}"
-
-    def _random_relation(self, hypothesis, split: int) -> Optional[Relation]:
-        """A random binary relation of two to four rows on which target and
-        hypothesis disagree, or ``None`` after ``random_tries`` draws.
-
-        Rows are drawn as int masks, cell by cell in row-major order, with
-        the draws of ``randrange(2)``.  ``split`` marks the agreement masks
-        where exactly one of the two formulas' proper clauses hold, the
-        two-row verdicts; XORed into the target's model set it gives the
-        model set of the hypothesis's proper clauses, against which larger
-        candidates are judged pair by pair.  Only the returned relation is
-        built as text.
-        """
-        target_models, target_masks = self._target_sets[0], self._target_masks
-        models = target_models ^ split
-        hypothesis_masks = _clause_masks(hypothesis)
-        full = self.universe.full_mask
-        randrange, getrandbits = self._rng.randrange, self._rng.getrandbits
-        arity = self.schema.arity
-        for _ in range(self.random_tries):
-            rows = {}
-            for _ in range(randrange(2, 5)):
-                row = 0
-                for i in range(arity):
-                    # randrange(2), as Random._randbelow_with_getrandbits(2)
-                    bit = getrandbits(2)
-                    while bit >= 2:
-                        bit = getrandbits(2)
-                    row |= bit << i
-                rows[row] = None
-            if len(rows) < 2:
-                continue
-            if len(rows) == 2:
-                a, b = rows
-                differs = split >> (full ^ a ^ b) & 1
-            else:
-                order = list(rows)
-                pairs = [
-                    (a, b, full ^ a ^ b) for i, a in enumerate(order) for b in order[i + 1:]
-                ]
-                differs = _candidate_holds(rows, pairs, target_models, target_masks) != (
-                    _candidate_holds(rows, pairs, models, hypothesis_masks)
-                )
-            if differs:
-                return Relation(self.schema, [binary_row(row, arity) for row in rows])
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ Each of `learn`, `learn-mvd`, `learn-horn` (both example kinds) and
 strategy and `--output trace --trace FILE`.  Its stdout and its trace file
 must equal `tests/golden/<case>.<oracle>.stdout` and `.trace` byte for
 byte.  Scripted runs replay `tests/golden/<case>.script`, which holds the
-counterexamples the random teacher gave with seed 11.
+counterexamples the random teacher gave with seed 11, except the
+`learn-mvd` script: it comes from an earlier random relation teacher that
+drew candidate relations of two to four rows, and it is kept for its 3-row
+relation.  The random relation teacher answers with two-row relations
+only, so this is the one golden run through the 3+-row counterexample
+translation.
 
 For every teacher kind, a script whose first entry is not a counterexample
 and an empty script must end with the oracle exit code and a fixed

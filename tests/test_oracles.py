@@ -21,19 +21,24 @@ from mvdlearn import (
     equivalent,
     find_counterexample,
     format_clause,
+    interp_to_pair,
     mvd_holds,
     parse_clause,
     parse_formula,
     satisfies,
 )
-from mvdlearn.core import bit_indices, enum_masks, model_bitset, violator_bitset
+from mvdlearn.core import (
+    bit_indices,
+    canonical_select,
+    enum_masks,
+    model_bitset,
+    violator_bitset,
+)
 from mvdlearn.learner import LearnerSession
 from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
-    _clause_masks,
-    _candidate_holds,
     parse_clause_script,
     parse_interpretation_script,
     parse_relation_script,
@@ -51,7 +56,6 @@ from conftest import (
     enumerate_mvd_clauses,
     enumerate_quasi2_clauses,
     numbered_universe,
-    random_clause,
     random_definite_horn,
     random_proper_clause,
     random_target,
@@ -399,169 +403,79 @@ def _binary_relation(schema, masks):
     ])
 
 
-def _mask_relation_holds(rows, clauses) -> bool:
-    """The random teacher's clause-by-clause check on int-mask rows, kept
-    as the reference: rows ``a`` and ``b`` with ``d = a ^ b`` break
-    ``X -> Y | Z`` when they agree on X, differ on Y and on Z, and one of
-    their swap rows ``a ^ (d & Z)`` and ``b ^ (d & Z)`` is missing."""
-    order = list(rows)
-    pairs = [(a, b, a ^ b) for i, a in enumerate(order) for b in order[i + 1:]]
-    for x, y, z in clauses:
-        for a, b, d in pairs:
-            if not d & x and d & y and d & z:
-                dz = d & z
-                if a ^ dz not in rows or b ^ dz not in rows:
-                    return False
-    return True
-
-
-def _random_bit(getrandbits) -> int:
-    """``Random.randrange(2)`` from the generator's ``getrandbits``: the
-    rejection loop the random teacher inlines per cell."""
-    bit = getrandbits(2)
-    while bit >= 2:
-        bit = getrandbits(2)
-    return bit
-
-
-def test_mask_relation_check_matches_mvd_holds():
-    rng = random.Random(21)
-    verdicts = set()
-    for n in range(2, 7):
-        u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
-        clauses = list(enumerate_mvd_clauses(u))
-        for _ in range(40):
-            rows = dict.fromkeys(rng.getrandbits(n) for _ in range(rng.randint(1, 6)))
-            relation = _binary_relation(schema, rows)
-            for clause in clauses:
-                expected = mvd_holds(relation, clause)
-                single = MvdFormula(u, [clause])
-                assert _mask_relation_holds(rows, _clause_masks(single)) == expected
-                verdicts.add(expected)
-            formula = MvdFormula(u, [random_clause(u, rng) for _ in range(rng.randrange(7))])
-            expected = all(mvd_holds(relation, c) for c in formula.clauses)
-            assert _mask_relation_holds(rows, _clause_masks(formula)) == expected
-            verdicts.add(expected)
-    assert verdicts == {True, False}
-
-
-def _row_pairs(rows, full):
-    """``(a, b, agreement mask)`` of every pair of the int-mask rows, in order."""
-    order = list(rows)
-    return [(a, b, full ^ a ^ b) for i, a in enumerate(order) for b in order[i + 1:]]
-
-
 def _proper_models(formula):
     """The model set of the formula's proper clauses."""
     proper = [c for c in formula.clauses if c.is_proper]
     return model_bitset(MvdFormula(formula.universe, proper))
 
 
-def test_pair_judge_matches_mvd_holds_on_every_clause():
-    rng = random.Random(17)
-    verdicts = set()
-    for n in range(2, 7):
+def _relation_hypothesis(u, rng):
+    """Up to three random clauses, empty-sided ones included, plus one
+    ``X -> Y | -`` clause with |Y| >= 2, whose violators the proper
+    clauses' model set leaves out."""
+    return MvdFormula(u, [*random_target(u, rng, max_clauses=3).clauses,
+                          random_wide_empty_side_clause(u, rng)])
+
+
+def test_relation_teacher_random_answers_are_the_pairs_of_the_differing_assignments():
+    # every rank: rank r answers the pair of canonical_select's r-th
+    # differing assignment, and the ranks answer each differing assignment
+    # once, in the plain canonical order
+    rng = random.Random(8)
+    answered = 0
+    for n in range(2, 6):
         u = numbered_universe(n)
         schema = AttributeSchema(u.names)
-        clauses = list(enumerate_mvd_clauses(u))
-        for size in (2, 3, 4):
-            for _ in range(12):
-                rows = dict.fromkeys(rng.sample(range(1 << n), size))
-                relation = _binary_relation(schema, rows)
-                pairs = _row_pairs(rows, u.full_mask)
-                for clause in clauses:
-                    single = MvdFormula(u, [clause])
-                    masks = _clause_masks(single)
-                    models = _proper_models(single)
-                    expected = mvd_holds(relation, clause)
-                    assert _candidate_holds(rows, pairs, models, masks) == expected
-                    if size == 2:  # the verdict is one bit of the model set
-                        assert bool(models >> pairs[0][2] & 1) == expected
-                    verdicts.add((size, expected))
-                # formulas with X -> Y | - clauses, |Y| >= 2, whose violators
-                # are left out of the proper clauses' model set
-                formula = MvdFormula(u, [random_clause(u, rng) for _ in range(rng.randrange(4))]
-                                     + [random_wide_empty_side_clause(u, rng)])
-                expected = all(mvd_holds(relation, c) for c in formula.clauses)
-                assert _candidate_holds(
-                    rows, pairs, _proper_models(formula), _clause_masks(formula)
-                ) == expected
-    assert verdicts == {(size, v) for size in (2, 3, 4) for v in (True, False)}
+        for _ in range(8):
+            target = random_target(u, rng, allow_degenerate=False)
+            hypothesis = _relation_hypothesis(u, rng)
+            differing = _proper_models(target) ^ _proper_models(hypothesis)
+            count = differing.bit_count()
+            teacher = RelationTeacher(target, schema, "random")
+            answers = []
+            for rank in range(count):
+                teacher._rng = _FixedDraw(rank)
+                answer = teacher.equivalence_answer(hypothesis)
+                assert teacher._rng.bounds == [count]
+                assert teacher.holds(answer, target) != teacher.holds(answer, hypothesis)
+                assert answer == interp_to_pair(
+                    Interpretation(u, canonical_select(differing, u, rank)), schema
+                )
+                answers.append(answer.rows)
+            assert answers == [
+                interp_to_pair(Interpretation(u, x), schema).rows
+                for x in enum_masks(n) if differing >> x & 1
+            ]
+            assert len(set(answers)) == count
+            answered += count
+    assert answered >= 150
 
 
-def test_random_bit_matches_randrange():
-    for seed in range(200):
-        fast, reference = random.Random(seed), random.Random(seed)
-        drawn = [_random_bit(fast.getrandbits) for _ in range(50)]
-        assert drawn == [reference.randrange(2) for _ in range(50)]
-        assert fast.getstate() == reference.getstate()
-
-
-def _reference_random_relation(self, hypothesis, split):
-    """The random teacher's candidate search on text relations; the
-    two-row verdicts ``split`` are not used."""
-    for _ in range(self.random_tries):
-        rows = [
-            tuple(str(self._rng.randrange(2)) for _ in range(self.schema.arity))
-            for _ in range(self._rng.randrange(2, 5))
-        ]
-        candidate = Relation(self.schema, rows)
-        if len(candidate) < 2:
-            continue
-        if self.holds(candidate, self.target) != self.holds(candidate, hypothesis):
-            return candidate
-    return None
-
-
-def _relation_run(target, seed):
-    """Counterexample row sequences, learned formula and counters of one
-    random-strategy relation run."""
-    witnesses, *rest = _record_run(
-        target,
-        lambda target, strategy, seed: RelationTeacher(
-            target, AttributeSchema(target.universe.names), strategy, seed
-        ),
-        "random", seed,
-    )
-    return [None if w is None else w.rows for w in witnesses], *rest
-
-
-def test_random_relation_teacher_matches_the_text_reference(monkeypatch):
-    rng = random.Random(8)
-    targets = [
-        random_target(numbered_universe(n), rng, allow_degenerate=False)
-        for n in range(5, 11) for _ in range(2)
-    ]
-    # single queries with hypotheses that hold X -> Y | - clauses, |Y| >= 2
-    queries = []
-    for n in range(3, 7):
+def test_relation_teacher_random_answer_is_the_assignment_teachers_pair():
+    # seed for seed, the relation teacher answers the pair of the assignment
+    # teacher's answer to the hypothesis's proper clauses; so it answers
+    # None exactly when those have the target's models, as for a hypothesis
+    # that adds X -> Y | - clauses to the target
+    rng = random.Random(9)
+    answered = 0
+    for n in range(3, 10):
         u = numbered_universe(n)
-        for _ in range(15):
-            clauses = [random_proper_clause(u, rng) for _ in range(rng.randrange(3))]
-            clauses += [random_wide_empty_side_clause(u, rng) for _ in range(rng.randint(1, 2))]
-            queries.append((random_target(u, rng, allow_degenerate=False), MvdFormula(u, clauses)))
-
-    def answers():
-        got = []
-        for seed, (target, hypothesis) in enumerate(queries):
-            teacher = RelationTeacher(target, AttributeSchema(target.universe.names),
-                                      "random", seed)
-            answer = teacher.equivalence_answer(hypothesis)
-            # None exactly when the proper clauses have the target's models
-            assert (answer is None) == (_proper_models(hypothesis) == model_bitset(target))
-            got.append((answer and answer.rows, teacher._rng.getstate()))
-        return got
-
-    fast = [_relation_run(t, seed) for seed, t in enumerate(targets)]
-    fast_answers = answers()
-    monkeypatch.setattr(RelationTeacher, "_random_relation", _reference_random_relation)
-    slow = [_relation_run(t, seed) for seed, t in enumerate(targets)]
-    assert fast == slow
-    assert any(len(rows) > 2 for witnesses, *_ in fast for rows in witnesses if rows)
-    assert fast_answers == answers()
-    assert {len(rows) for rows, _ in fast_answers if rows} >= {2, 3}
-    assert any(rows is None for rows, _ in fast_answers)
+        schema = AttributeSchema(u.names)
+        for seed in range(6):
+            target = random_target(u, rng, allow_degenerate=False)
+            relations = RelationTeacher(target, schema, "random", seed)
+            assignments = MvdfInterpretationTeacher(target, "random", seed)
+            wider = MvdFormula(u, [*target.clauses, random_wide_empty_side_clause(u, rng)])
+            for hypothesis in (MvdFormula(u), _relation_hypothesis(u, rng), target, wider):
+                proper = MvdFormula(u, [c for c in hypothesis.clauses if c.is_proper])
+                answer = relations.equivalence_answer(hypothesis)
+                witness = assignments.equivalence_answer(proper)
+                assert answer == (witness and interp_to_pair(witness, schema))
+                assert (answer is None) == (_proper_models(hypothesis) == model_bitset(target))
+                answered += answer is not None
+            assert answer is None  # for the wider hypothesis
+            assert relations._rng.getstate() == assignments._rng.getstate()
+    assert answered >= 60
 
 
 def test_relation_teacher_small_membership_matches_holds():
