@@ -12,7 +12,6 @@ from .core import (
     MvdFormula,
     QuasiHorn2Clause,
     VariableUniverse,
-    covers,
     entails,
     equivalent,
     false_clause,
@@ -21,9 +20,7 @@ from .core import (
     format_formula,
     horn_to_mvd,
     horn_formula_to_mvd,
-    intersect,
     mvd_to_quasi2,
-    orientation_classes,
     parse_clause,
     parse_formula,
     satisfies,
@@ -43,20 +40,13 @@ from .learner import (
     LearnerSession,
     TheoreticalBounds,
     TraceRecord,
-    build_clauses,
     construct_h0,
-    good_candidate,
     learn,
-    rebuild_hypothesis,
-    refine_counterexample,
-    update_positive_examples,
 )
 from .oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
-    QueryStats,
     RelationTeacher,
-    stats_snapshot,
 )
 from .reductions import (
     ReductionPair,
@@ -76,7 +66,6 @@ from .reductions import (
 from .relations import (
     AttributeSchema,
     Relation,
-    agreement_interp,
     find_violating_pair,
     interp_to_pair,
     mvd_holds,

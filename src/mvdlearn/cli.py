@@ -44,7 +44,6 @@ from .oracles import (
     parse_clause_script,
     parse_interpretation_script,
     parse_relation_script,
-    stats_snapshot,
 )
 from .reductions import (
     horn_entailment_reduction,
@@ -75,6 +74,13 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
+    except OSError as exc:
+        raise MvdLearnError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
     except OSError as exc:
         raise MvdLearnError(f"{path}: {exc.strerror or exc}") from None
 
@@ -169,29 +175,28 @@ _STRATEGY = {"exhaustive": "exhaustive", "random": "random", "script": "scripted
 
 
 def _emit_run(session, result, teacher, args):
+    # the trace file first, so a failed write leaves stdout empty
+    if args.trace:
+        _write_text(args.trace, "".join(format_trace_record(r) + "\n" for r in session.trace))
     lines = []
     if args.output == "trace":
         lines.extend(format_trace_record(r) for r in session.trace)
     lines.append("hypothesis:")
     lines.extend("  " + line for line in format_formula(result).splitlines())
-    stats = stats_snapshot(session)
+    events = session.event_counts
     lines.append(
         "stats: iterations={} positive={} append={} replace={} removed={}".format(
-            stats.iterations, stats.positive_events, stats.append_events,
-            stats.replace_events, stats.removals,
+            session.iteration, events["positive"], events["append"],
+            events["replace"], session.removal_count,
         )
     )
     lines.append(
         "queries: learner mem={} eq={}; teacher mem={} eq={}".format(
-            stats.membership_queries, stats.equivalence_queries,
+            session.membership_queries, session.equivalence_queries,
             teacher.stats["membership_queries"], teacher.stats["equivalence_queries"],
         )
     )
     print("\n".join(lines))
-    if args.trace:
-        Path(args.trace).write_text(
-            "".join(format_trace_record(r) + "\n" for r in session.trace)
-        )
 
 
 class _Learning(NamedTuple):

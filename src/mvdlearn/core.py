@@ -28,7 +28,6 @@ the universe is built, guards against accidental blow-ups.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -136,7 +135,7 @@ class VariableUniverse:
             self._var_patterns[bit] = pat
         return pat
 
-    def popcount_layers(self) -> list[int]:
+    def size_layers(self) -> list[int]:
         """Bitsets over all 2**n masks, one per true-set size: entry ``k``
         marks the masks with exactly ``k`` true variables."""
         if self._layers is None:
@@ -166,10 +165,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def _require_same_universe(*items) -> VariableUniverse:
@@ -231,37 +226,22 @@ class Interpretation:
         return f"Interpretation({self.to_bits()})"
 
 
-def intersect(a: Interpretation, b: Interpretation) -> Interpretation:
-    """Componentwise intersection of true-sets."""
-    _require_same_universe(a, b)
-    return Interpretation(a.universe, a.mask & b.mask)
-
-
-def enum_masks(n: int) -> Iterator[int]:
-    """All masks over ``n`` variables in the canonical order: ascending size
-    of the true-set, ties broken lexicographically on the index tuple."""
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            yield mask
-
-
 def canonical_select(bits: int, universe: VariableUniverse, rank: int) -> Optional[int]:
     """The mask of the given 0-based rank among the masks marked in ``bits``.
 
     ``bits`` is an assignment set over ``universe`` (bit ``m`` marks mask
-    ``m``); masks are ranked in the canonical order of :func:`enum_masks`.
-    Returns ``None`` when fewer than ``rank + 1`` masks are marked.
+    ``m``); masks are ranked in the canonical order: ascending true-set
+    size, ties broken lexicographically on the index tuple (the true
+    variables' indices, ascending).  Returns ``None`` when fewer than
+    ``rank + 1`` masks are marked.
 
-    The true-set size comes first in that order, so the popcount layers
-    locate the size.  Within a layer, once the variables below ``v`` are
+    The true-set size comes first in that order, so the universe's size
+    layers locate it.  Within a layer, once the variables below ``v`` are
     fixed, the masks containing ``v`` precede those without it, so one
     walk over the variables in ascending order narrows the set to the
     mask.  Each step is an AND and a popcount over the 2**n-bit set.
     """
-    for layer in universe.popcount_layers():
+    for layer in universe.size_layers():
         part = bits & layer
         count = part.bit_count()
         if rank < count:
@@ -487,23 +467,8 @@ class HornFormula(_BaseFormula):
 Formula = Union[MvdFormula, HornFormula]
 
 
-def orientation_classes(formula: MvdFormula) -> frozenset:
-    """The clauses of ``formula`` up to Y/Z orientation, as a set of keys."""
-    return frozenset(c.orientation_key() for c in formula.clauses)
-
-
-def orientation_class_count(formula: MvdFormula) -> int:
-    return len(orientation_classes(formula))
-
-
 # ---------------------------------------------------------------------------
 # Satisfaction
-
-
-def covers(interp: Interpretation, clause: MvdClause) -> bool:
-    """True when the clause's antecedent is entirely true in ``interp``."""
-    _require_same_universe(interp, clause)
-    return interp.mask & clause.x_mask == clause.x_mask
 
 
 def violates(interp: Interpretation, clause: MvdClause) -> bool:
@@ -517,7 +482,7 @@ def violates(interp: Interpretation, clause: MvdClause) -> bool:
         return bool(y & false_mask) and bool(z & false_mask)
     if y or z:
         side = y | z
-        return popcount(false_mask) == 1 and bool(side & false_mask)
+        return false_mask.bit_count() == 1 and bool(side & false_mask)
     return false_mask == 0
 
 

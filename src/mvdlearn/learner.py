@@ -15,7 +15,9 @@ single false variable).  Each stored negative contributes a block of
 clauses whose left consequents partition its false variables; positives
 trim the blocks by merging the clauses they break.  A fresh negative
 counterexample is first shrunk against the stored negatives, then either
-replaces the first stored negative it refines or is appended.
+replaces the first stored negative it refines or is appended.  The plain
+definitions of these steps, on interpretations and clauses, live in the
+test suite's ``tests/reference.py``.
 
 Membership answers are memoized per assignment for the whole session: the
 target is fixed, so a cached answer is always still valid, and the cache
@@ -35,10 +37,6 @@ from .core import (
     VariableUniverse,
     bit_indices,
     false_clause,
-    intersect,
-    popcount,
-    satisfies,
-    violates,
 )
 from .errors import BoundViolationError, OracleContractError
 
@@ -111,121 +109,6 @@ def construct_h0(universe: VariableUniverse, mem: MembershipOracle) -> MvdFormul
     return MvdFormula(universe, clauses)
 
 
-def good_candidate(
-    a: Interpretation,
-    b: Interpretation,
-    hypothesis: MvdFormula,
-    mem: MembershipOracle,
-) -> bool:
-    """Refinement test for the ordered pair (a, b).
-
-    Holds when the intersection (i) drops at least one true variable of
-    ``a``, (ii) still satisfies the hypothesis, and (iii) is not a model of
-    the target.  The membership query is only spent when (i) and (ii) hold.
-    """
-    inter = intersect(a, b)
-    if inter.mask == a.mask:
-        return False
-    if not satisfies(inter, hypothesis):
-        return False
-    return not mem(inter)
-
-
-def build_clauses(interp: Interpretation, positives) -> list[MvdClause]:
-    """Clause block contributed by one stored negative example.
-
-    Starts with one clause per false variable v: ``true(I) -> v | rest``.
-    Each stored positive then merges every clause it breaks into a single
-    clause whose left side is the union of the broken left sides.  Positives
-    are folded in sequence order; the merged clause takes the position of the
-    first clause it replaces, so the block order is deterministic.
-    """
-    universe = interp.universe
-    x = interp.mask
-    clauses = [
-        MvdClause(universe, x, 1 << v, interp.false_mask ^ (1 << v))
-        for v in bit_indices(interp.false_mask)
-    ]
-    for pos in positives:
-        broken = [i for i, c in enumerate(clauses) if violates(pos, c)]
-        if not broken:
-            continue
-        y_union = 0
-        z_union = 0
-        for i in broken:
-            y_union |= clauses[i].y_mask
-            z_union |= clauses[i].z_mask
-        merged = MvdClause(universe, x, y_union, z_union & ~y_union)
-        clauses[broken[0]] = merged
-        for i in reversed(broken[1:]):
-            del clauses[i]
-    return clauses
-
-
-def refine_counterexample(
-    interp: Interpretation,
-    negatives,
-    hypothesis: MvdFormula,
-    mem: MembershipOracle,
-) -> Interpretation:
-    """Shrink a negative counterexample against the stored negatives.
-
-    Repeatedly intersects with the first stored negative forming a
-    refinement pair until none qualifies.  The true-set shrinks strictly at
-    each step, so the loop runs at most n times.
-    """
-    current = interp
-    for _ in range(interp.universe.n + 1):
-        partner = None
-        for neg in negatives:
-            if good_candidate(current, neg, hypothesis, mem):
-                partner = neg
-                break
-        if partner is None:
-            return current
-        current = intersect(current, partner)
-    raise BoundViolationError("counterexample refinement exceeded the universe size")
-
-
-def update_positive_examples(
-    kernel: Interpretation,
-    positives,
-    negatives,
-    mem: MembershipOracle,
-) -> list[Interpretation]:
-    """Harvest new positives from pairwise intersections of stored negatives.
-
-    While some intersection of two distinct stored negatives breaks the
-    kernel's current clause block yet is a model of the target, append it.
-    Pairs are scanned in position order and the first hit is taken; each
-    appended positive strictly shrinks the block, so at most n rounds run.
-    """
-    result = list(positives)
-    for _ in range(kernel.universe.n + 1):
-        block = build_clauses(kernel, result)
-        found = None
-        for i in range(len(negatives)):
-            for j in range(i + 1, len(negatives)):
-                inter = intersect(negatives[i], negatives[j])
-                if not satisfies(inter, block) and mem(inter):
-                    found = inter
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return result
-        result.append(found)
-    raise BoundViolationError("positive-example harvesting exceeded the universe size")
-
-
-def rebuild_hypothesis(h0: MvdFormula, negatives, positives) -> MvdFormula:
-    """Baseline clauses plus the block of every stored negative."""
-    clauses = list(h0.clauses)
-    for neg in negatives:
-        clauses.extend(build_clauses(neg, positives))
-    return MvdFormula(h0.universe, clauses)
-
-
 def _block_broken(false_set: int, parts) -> bool:
     """Whether an assignment covering a block's antecedent violates the block.
 
@@ -257,9 +140,11 @@ class LearnerSession:
     kept as the list of its Y-parts (the clause of part ``y`` is
     ``true(I) -> y | false(I)\\y``), cached by the negative's mask together
     with the number of positives already folded in.  Positives are only
-    ever appended, so a rebuild folds in just the new ones, in the order of
-    :func:`build_clauses`; that function and the other module-level helpers
-    remain the plain definitions this session agrees with.
+    ever appended, so a rebuild folds in just the new ones, in store order;
+    a positive that breaks the block merges the parts it meets into the
+    first of them.  The plain definitions of these steps, on
+    interpretations and clauses, are kept in ``tests/reference.py``, and
+    the tests hold the session to them.
     """
 
     def __init__(
@@ -373,8 +258,11 @@ class LearnerSession:
                 return False
         return True
 
-    def _good_candidate(self, a: int, b: int) -> bool:
-        """:func:`good_candidate` on masks, against the current hypothesis."""
+    def _refines(self, a: int, b: int) -> bool:
+        """Whether ``(a, b)`` is a refinement pair: ``a & b`` drops a true
+        variable of ``a``, satisfies the current hypothesis, and is not a
+        model of the target.  Membership is only asked when the first two
+        hold."""
         inter = a & b
         return inter != a and self._satisfies(inter) and not self._mem_mask(inter)
 
@@ -394,7 +282,7 @@ class LearnerSession:
         """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
         if self.bounds is None:
             return None
-        spent = sum(popcount(neg.false_mask) for neg in self.negatives)
+        spent = sum(neg.false_mask.bit_count() for neg in self.negatives)
         return len(self.negatives) + (self.bounds.limit - spent)
 
     def _iteration_cap(self) -> int:
@@ -477,14 +365,14 @@ class LearnerSession:
             return
 
         refined = self._refine(raw)
-        if popcount(refined.false_mask) < 2:
+        if refined.false_mask.bit_count() < 2:
             raise OracleContractError(
                 "refined negative with fewer than two false variables; "
                 "inconsistent with the baseline hypothesis"
             )
         slot = None
         for i, neg in enumerate(self.negatives):
-            if self._good_candidate(neg.mask, refined.mask):
+            if self._refines(neg.mask, refined.mask):
                 slot = i
                 break
         if slot is None:
@@ -523,12 +411,14 @@ class LearnerSession:
         )
 
     def _refine(self, raw: Interpretation) -> Interpretation:
-        """:func:`refine_counterexample` on masks."""
+        """Shrink a negative counterexample: intersect it with the first
+        stored negative it forms a refinement pair with, until none does.
+        The true-set shrinks at each step, so at most n steps run."""
         current = raw.mask
         negatives = [neg.mask for neg in self.negatives]
         for _ in range(self.universe.n + 1):
             for neg in negatives:
-                if self._good_candidate(current, neg):
+                if self._refines(current, neg):
                     current &= neg
                     break
             else:
@@ -536,7 +426,12 @@ class LearnerSession:
         raise BoundViolationError("counterexample refinement exceeded the universe size")
 
     def _harvest(self, kernel: int) -> list[Interpretation]:
-        """:func:`update_positive_examples` on masks."""
+        """The stored positives plus those harvested for ``kernel``.
+
+        While the intersection of some two stored negatives covers the
+        kernel, breaks its block and is a model of the target, the first
+        such intersection, with pairs in position order, is appended.  Each
+        one merges parts of the block, so at most n rounds run."""
         result = list(self.positives)
         negatives = [neg.mask for neg in self.negatives]
         full = self.universe.full_mask

@@ -21,8 +21,8 @@ Hypotheses, membership queries and scripted entries over another universe
 (or schema) are rejected.  A relation teacher judges a formula by its
 proper clauses alone, since an ``X -> Y | -`` clause holds in every
 relation.  Teachers carry a ``stats`` dict counting the queries asked of
-them; the learner-side counters live in :func:`stats_snapshot`, which
-freezes a learning session's bookkeeping into a :class:`QueryStats` value.
+them; the learner's own counters are attributes of its
+:class:`~mvdlearn.learner.LearnerSession`.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     HornClause,
@@ -60,38 +58,6 @@ from .relations import (
 )
 
 STRATEGIES = ("exhaustive", "random", "scripted")
-
-
-@dataclass(frozen=True)
-class QueryStats:
-    """Frozen snapshot of a learning session's counters."""
-
-    membership_queries: int
-    equivalence_queries: int
-    iterations: int
-    positive_events: int
-    append_events: int
-    replace_events: int
-    removals: int
-    max_negatives: int
-    replacements_per_slot: tuple
-    potential: Optional[int]
-
-
-def stats_snapshot(session) -> QueryStats:
-    """Immutable copy of a :class:`~mvdlearn.learner.LearnerSession`'s counters."""
-    return QueryStats(
-        membership_queries=session.membership_queries,
-        equivalence_queries=session.equivalence_queries,
-        iterations=session.iteration,
-        positive_events=session.event_counts["positive"],
-        append_events=session.event_counts["append"],
-        replace_events=session.event_counts["replace"],
-        removals=session.removal_count,
-        max_negatives=session.max_negatives,
-        replacements_per_slot=tuple(session.replacements),
-        potential=session.potential(),
-    )
 
 
 # ---------------------------------------------------------------------------

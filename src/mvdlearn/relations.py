@@ -189,8 +189,7 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def agreement_mask(t: Row, t2: Row) -> int:
     """Mask of the positions where two rows of equal arity agree (bit i:
-    position i).  The mask of :func:`agreement_interp`, without its checks,
-    read in one pass over the columns in C."""
+    position i), read in one pass over the columns in C."""
     return int(bytes(map(operator.eq, t, t2)).translate(_DIGITS)[::-1], 2)
 
 
@@ -207,17 +206,6 @@ def interp_to_pair(interp: Interpretation, schema: AttributeSchema) -> Relation:
     return Relation(schema, (
         binary_row(0, schema.arity), binary_row(interp.false_mask, schema.arity)
     ))
-
-
-def agreement_interp(t: Row, t2: Row, universe: VariableUniverse) -> Interpretation:
-    """Assignment whose true variables are the positions where the rows agree."""
-    if len(t) != universe.n or len(t2) != universe.n:
-        raise UniverseMismatchError("row arity does not match the universe")
-    mask = 0
-    for i in range(universe.n):
-        if t[i] == t2[i]:
-            mask |= 1 << i
-    return Interpretation(universe, mask)
 
 
 def _csv_records(text: str):

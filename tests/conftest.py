@@ -21,7 +21,9 @@ from mvdlearn import (
     satisfies,
     violates,
 )
-from mvdlearn.core import bit_indices, enum_masks, popcount
+from mvdlearn.core import bit_indices
+
+from reference import enum_masks
 
 # Target and counterexample script of the worked golden run; the learner
 # must reproduce its intermediate states exactly.
@@ -140,7 +142,7 @@ def random_wide_empty_side_clause(universe: VariableUniverse,
     one false variable, in Y: here model sets and relations part."""
     while True:
         y = rng.getrandbits(universe.n)
-        if popcount(y) >= 2:
+        if y.bit_count() >= 2:
             return MvdClause(universe, universe.full_mask ^ y, y, 0)
 
 
@@ -206,7 +208,7 @@ def random_negative_example(target: MvdFormula, rng: random.Random):
     pool = [
         m
         for m in range(1 << u.n)
-        if popcount(u.full_mask ^ m) >= 2
+        if (u.full_mask ^ m).bit_count() >= 2
         and not satisfies(Interpretation(u, m), target)
     ]
     if not pool:

@@ -9,7 +9,6 @@ iterations (and of the hypothesis size on positive ones).
 """
 
 from mvdlearn import MvdFormula, satisfies, violates
-from mvdlearn.core import popcount
 
 
 class InvariantObserver:
@@ -36,7 +35,7 @@ class InvariantObserver:
 
         # stored negatives always keep at least two false variables
         for neg in negatives:
-            assert popcount(neg.false_mask) >= 2
+            assert neg.false_mask.bit_count() >= 2
 
         # block structure: left sides partition the false set, right sides
         # are the complements within it and never empty

@@ -15,7 +15,6 @@ from mvdlearn import (
     AttributeSchema,
     Interpretation,
     MvdFormula,
-    build_clauses,
     entails,
     equivalent,
     find_counterexample,
@@ -24,20 +23,17 @@ from mvdlearn import (
     learn_mvd_from_relations,
     learn_mvdf_from_quasi2,
     mvd_holds,
-    orientation_classes,
     parse_clause,
     qh_ce_to_mvd,
     qh_f_mem,
     satisfies,
     violates,
 )
-from mvdlearn.core import enum_masks, popcount
 from mvdlearn.learner import LearnerSession, TheoreticalBounds
 from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
-    stats_snapshot,
 )
 from mvdlearn.cli import main as cli_main
 
@@ -54,6 +50,7 @@ from conftest import (
     random_target,
 )
 from invariant_harness import InvariantObserver
+from reference import build_clauses, counters, enum_masks, orientation_classes
 
 
 def classes_of(universe, *clause_texts):
@@ -134,7 +131,7 @@ def _run_suite2():
         )
         hypothesis = session.run()
         assert find_counterexample(target, hypothesis) is None
-        observers.append((observer, stats_snapshot(session)))
+        observers.append((observer, counters(session)))
         runs += 1
     _SUITE2["elapsed"] = time.monotonic() - start
     _SUITE2["runs"] = runs
@@ -181,7 +178,7 @@ def test_criterion_4_block_structure_and_shrinkage():
         negatives = [
             m
             for m in range(1 << n)
-            if popcount(u.full_mask ^ m) >= 2
+            if (u.full_mask ^ m).bit_count() >= 2
             and not satisfies(Interpretation(u, m), target)
         ]
         if not negatives or not models:

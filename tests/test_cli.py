@@ -469,3 +469,18 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     assert out_a == out_b
     code_c, out_c, err_c = _cli_bytes(args[:-3] + ["8", "--output", "trace"])
     assert code_c == 0, err_c  # different seed still succeeds, bytes may differ
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.trace", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_unwritable_trace_file_is_invalid_input(tmp_path, where, reason):
+    target = tmp_path / "t.mvdf"
+    target.write_text(GOLDEN_TARGET_TEXT)
+    trace = tmp_path / where
+    code, out, err = _cli_bytes(["learn", "--target", str(target), "--trace", str(trace)])
+    assert code == 2
+    assert out == b""
+    assert err == f"mvdlearn: {trace}: {reason}\n"
+    assert "Traceback" not in err

@@ -13,20 +13,13 @@ from mvdlearn import (
     Interpretation,
     MvdFormula,
     OracleContractError,
-    build_clauses,
     construct_h0,
     find_counterexample,
-    good_candidate,
     learn,
-    orientation_classes,
     parse_clause,
     parse_formula,
-    rebuild_hypothesis,
-    refine_counterexample,
     satisfies,
-    update_positive_examples,
 )
-from mvdlearn.core import orientation_class_count, popcount
 from mvdlearn.learner import (
     IterationEvent,
     LearnerSession,
@@ -37,13 +30,21 @@ from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
     RelationTeacher,
-    stats_snapshot,
 )
 from mvdlearn.reductions import quasi2_reduction, relation_reduction, translate_oracles
 from mvdlearn.relations import AttributeSchema
 
 from conftest import numbered_universe, random_target
 from invariant_harness import InvariantObserver
+from reference import (
+    build_clauses,
+    counters,
+    good_candidate,
+    orientation_classes,
+    rebuild_hypothesis,
+    refine_counterexample,
+    update_positive_examples,
+)
 
 
 def classes_of(universe, *clause_texts):
@@ -308,7 +309,7 @@ def test_golden_trace(golden_target, golden_script):
         u, "2 3 4 5 -> 1 | -", "2 -> 1 4 5 | 3", "2 3 5 -> 1 | 4"
     )
 
-    stats = stats_snapshot(session)
+    stats = counters(session)
     assert stats.iterations == 4
     assert stats.positive_events == 0
     assert stats.append_events == 3
@@ -385,8 +386,8 @@ def test_random_runs_with_random_counterexamples():
 class _ReferenceSession:
     """The learner session as it was before it worked on masks: every block
     rebuilt from scratch by :func:`build_clauses` after each iteration, every
-    test through the public helpers.  Kept as the reference for
-    :class:`LearnerSession`.
+    test through the plain definitions of ``reference``.  Kept as the
+    reference for :class:`LearnerSession`.
 
     The session keeps the stored examples, the evolving hypothesis, query
     counters and a per-iteration trace.  An observer callable, when given,
@@ -452,7 +453,7 @@ class _ReferenceSession:
         """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
         if self.bounds is None:
             return None
-        spent = sum(popcount(neg.false_mask) for neg in self.negatives)
+        spent = sum(neg.false_mask.bit_count() for neg in self.negatives)
         return len(self.negatives) + (self.bounds.limit - spent)
 
     def _iteration_cap(self):
@@ -473,7 +474,7 @@ class _ReferenceSession:
             removed=len(removed or ()),
             positives=len(self.positives),
             negatives=len(self.negatives),
-            hypothesis_size=orientation_class_count(self.hypothesis),
+            hypothesis_size=len(orientation_classes(self.hypothesis)),
             membership_queries=self.membership_queries,
             equivalence_queries=self.equivalence_queries,
             potential=self.potential(),
@@ -509,7 +510,7 @@ class _ReferenceSession:
                 )
             self._handle(counterexample)
             self._max_hypothesis_classes = max(
-                self._max_hypothesis_classes, orientation_class_count(self.hypothesis)
+                self._max_hypothesis_classes, len(orientation_classes(self.hypothesis))
             )
 
     def _handle(self, raw):
@@ -530,7 +531,7 @@ class _ReferenceSession:
             return
 
         refined = refine_counterexample(raw, self.negatives, self.hypothesis, self.mem)
-        if popcount(refined.false_mask) < 2:
+        if refined.false_mask.bit_count() < 2:
             raise OracleContractError(
                 "refined negative with fewer than two false variables; "
                 "inconsistent with the baseline hypothesis"
@@ -611,7 +612,7 @@ def _compare_runs(universe, make_oracles, bounds=None):
             result = session.run().clauses
         except (BoundViolationError, OracleContractError) as exc:
             result = f"{type(exc).__name__}: {exc}"
-        runs.append((states, session.trace, result, stats_snapshot(session)))
+        runs.append((states, session.trace, result, counters(session)))
     fast, reference = runs
     assert fast[0] == reference[0]
     assert fast[1:] == reference[1:]
@@ -672,7 +673,7 @@ def test_one_iteration_from_a_prepared_state_matches_the_reference_session():
         u = numbered_universe(n)
         models = {m for m in range(1 << n) if rng.random() < 0.5}
         nonmodels = [m for m in range(1 << n)
-                     if m not in models and popcount(u.full_mask ^ m) >= 2]
+                     if m not in models and (u.full_mask ^ m).bit_count() >= 2]
         if len(nonmodels) < 2:
             continue
         negatives = rng.sample(nonmodels, rng.randrange(1, min(4, len(nonmodels)) + 1))

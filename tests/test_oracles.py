@@ -30,7 +30,6 @@ from mvdlearn import (
 from mvdlearn.core import (
     bit_indices,
     canonical_select,
-    enum_masks,
     model_bitset,
     violator_bitset,
 )
@@ -42,7 +41,6 @@ from mvdlearn.oracles import (
     parse_clause_script,
     parse_interpretation_script,
     parse_relation_script,
-    stats_snapshot,
 )
 from mvdlearn.reductions import (
     horn_entailment_reduction,
@@ -61,6 +59,7 @@ from conftest import (
     random_target,
     random_wide_empty_side_clause,
 )
+from reference import counters, enum_masks
 from test_core import _scan_select
 
 
@@ -135,21 +134,20 @@ def test_scripted_exhaustion(golden_target):
     assert teacher.equivalence_answer(golden_target) is None
 
 
-def test_stats_snapshot_fresh_and_golden(golden_target, golden_script):
+def test_session_counters_fresh_and_golden(golden_target, golden_script):
     u = golden_target.universe
     teacher = MvdfInterpretationTeacher(golden_target, "scripted", script=golden_script)
     session = LearnerSession(u, teacher.membership_answer, teacher.equivalence_answer)
-    fresh = stats_snapshot(session)
-    assert fresh.membership_queries == 0
-    assert fresh.equivalence_queries == 0
-    assert fresh.iterations == 0
+    assert session.membership_queries == 0
+    assert session.equivalence_queries == 0
+    assert session.iteration == 0
 
     session.run()
-    stats = stats_snapshot(session)
-    assert (stats.positive_events, stats.append_events, stats.replace_events) == (0, 3, 1)
-    assert stats.iterations == 4
-    assert stats.max_negatives == 3
-    assert teacher.stats["equivalence_queries"] == stats.equivalence_queries
+    events = session.event_counts
+    assert (events["positive"], events["append"], events["replace"]) == (0, 3, 1)
+    assert session.iteration == 4
+    assert session.max_negatives == 3
+    assert teacher.stats["equivalence_queries"] == session.equivalence_queries
 
 
 def test_equivalence_answer_matches_counterexample_search():
@@ -765,7 +763,7 @@ def _record_run(target, make_teacher, strategy, seed):
         mem, eq = translate_oracles(reduction(), mem, eq)
     session = LearnerSession(target.universe, mem, eq)
     learned = session.run()
-    return witnesses, learned, stats_snapshot(session), dict(teacher.stats)
+    return witnesses, learned, counters(session), dict(teacher.stats)
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "random"])

@@ -11,7 +11,6 @@ from mvdlearn import (
     Relation,
     SchemaError,
     UniverseMismatchError,
-    agreement_interp,
     find_violating_pair,
     interp_to_pair,
     mvd_holds,
@@ -20,10 +19,11 @@ from mvdlearn import (
     violates,
 )
 from mvdlearn.cli import main
-from mvdlearn.core import bit_indices, enum_masks
+from mvdlearn.core import bit_indices
 from mvdlearn.relations import agreement_mask
 
 from conftest import enumerate_mvd_clauses, numbered_universe, random_proper_clause
+from reference import agreement_interp, enum_masks
 
 
 def holds_direct(relation, clause):
