@@ -76,9 +76,10 @@ class VariableUniverse:
         self._var_patterns = None
         self._layers = None
         # the violator sets of the formula last given to model_bitset, keyed
-        # by clause kind and masks, never by the clause itself: a clause
-        # refers back to its universe, and that cycle would keep the cached
-        # bitsets alive until a full garbage collection
+        # by clause kind and masks or by a block's masks, never by the
+        # clause itself: a clause refers back to its universe, and that
+        # cycle would keep the cached bitsets alive until a full garbage
+        # collection
         self._violator_cache = {}
 
     @property
@@ -420,7 +421,7 @@ Clause = Union[MvdClause, HornClause, QuasiHorn2Clause]
 
 
 class _BaseFormula:
-    __slots__ = ("universe", "clauses")
+    __slots__ = ("universe", "_clauses")
 
     def __init__(self, universe: VariableUniverse, clauses: Iterable = ()):
         clauses = tuple(clauses)
@@ -429,7 +430,11 @@ class _BaseFormula:
                 raise UniverseMismatchError("clause universe differs from formula universe")
         # order-preserving dedup under exact (oriented) equality
         self.universe = universe
-        self.clauses = tuple(dict.fromkeys(clauses))
+        self._clauses = tuple(dict.fromkeys(clauses))
+
+    @property
+    def clauses(self) -> tuple:
+        return self._clauses
 
     def __len__(self):
         return len(self.clauses)
@@ -449,7 +454,54 @@ class _BaseFormula:
 
 
 class MvdFormula(_BaseFormula):
-    """A conjunction of :class:`MvdClause` values over one universe."""
+    """A conjunction of :class:`MvdClause` values over one universe.
+
+    ``base`` holds the clauses given one by one and ``blocks`` the blocks
+    of :meth:`from_blocks`; a formula built from clauses alone has no
+    blocks, and its ``clauses`` are its ``base``.
+    """
+
+    __slots__ = ("base", "blocks")
+
+    def __init__(self, universe: VariableUniverse, clauses: Iterable = ()):
+        super().__init__(universe, clauses)
+        self.base = self._clauses
+        self.blocks = ()
+
+    @classmethod
+    def from_blocks(cls, universe: VariableUniverse, base: Iterable, blocks: Iterable) -> "MvdFormula":
+        """The formula of ``base``'s clauses and of ``blocks``.
+
+        A block ``(x, parts)`` stands for the clauses ``x -> y | F\\y``, one
+        per part y, where the parts partition ``F = V \\ x``; see
+        :func:`block_broken`.  :func:`model_bitset` builds one violator set
+        per block, and ``clauses`` (the base clauses, then each block's
+        clauses in part order, deduplicated) is built on first read.
+        """
+        formula = cls(universe, base)
+        formula.blocks = tuple(blocks)
+        formula._clauses = None
+        return formula
+
+    @property
+    def clauses(self) -> tuple:
+        if self._clauses is None:
+            universe = self.universe
+            full = universe.full_mask
+            clauses = list(self.base)
+            for x, parts in self.blocks:
+                clauses.extend(MvdClause(universe, x, y, full ^ x ^ y) for y in parts)
+            self._clauses = tuple(dict.fromkeys(clauses))
+        return self._clauses
+
+    def proper_blocks(self) -> tuple:
+        """The proper part as blocks: each proper base clause ``x -> y | z``
+        as the block ``(x, (y, z))``, then the blocks of two or more parts.
+        The clauses with an empty side are left out."""
+        return (
+            *((c.x_mask, (c.y_mask, c.z_mask)) for c in self.base if c.is_proper),
+            *(block for block in self.blocks if len(block[1]) > 1),
+        )
 
     def __repr__(self):
         body = ", ".join(format_clause(c) for c in self.clauses)
@@ -484,6 +536,24 @@ def violates(interp: Interpretation, clause: MvdClause) -> bool:
         side = y | z
         return false_mask.bit_count() == 1 and bool(side & false_mask)
     return false_mask == 0
+
+
+def block_broken(false_set: int, parts) -> bool:
+    """Whether an assignment covering a block's antecedent violates the block.
+
+    ``false_set`` holds the assignment's false variables, a subset of the
+    block's ``F``; ``parts`` are the block's Y-parts, which partition ``F``,
+    each standing for the clause ``x -> y | F\\y``.  With two or more parts
+    every clause is proper, and some clause breaks exactly when the false
+    set meets two parts.  A single part is the one-sided clause
+    ``x -> F | -``, broken by exactly one false variable.
+    """
+    if len(parts) == 1:
+        return false_set != 0 and false_set & (false_set - 1) == 0
+    for y in parts:
+        if false_set & y:
+            return false_set & ~y != 0
+    return False
 
 
 def _satisfies_clause(interp: Interpretation, clause: Clause) -> bool:
@@ -524,52 +594,93 @@ def _cache_key(clause: Clause) -> tuple:
     raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
 
 
+def _single_false(universe: VariableUniverse, side: int) -> int:
+    """Bitset of the assignments whose one false variable lies in ``side``."""
+    bits = 0
+    for v in bit_indices(side):
+        bits |= 1 << (universe.full_mask ^ (1 << v))
+    return bits
+
+
 def violator_bitset(clause: Clause) -> int:
-    """Bitset over all 2**n masks marking the assignments violating ``clause``."""
+    """Bitset over all 2**n masks marking the assignments violating ``clause``.
+
+    Sets are cut with ``a ^ (a & b)`` rather than ``a & ~b``: ``~b`` of a
+    2**n-bit set is a negative int, and the AND with it costs several times
+    more than the two operations on non-negative ints.
+    """
     universe = clause.universe
     if isinstance(clause, MvdClause):
         y, z = clause.y_mask, clause.z_mask
         if y and z:
-            bits = (
-                universe.superset_pattern(clause.x_mask)
-                & ~universe.superset_pattern(y)
-                & ~universe.superset_pattern(z)
-            )
+            bits = universe.superset_pattern(clause.x_mask)
+            bits ^= bits & universe.superset_pattern(y)
+            bits ^= bits & universe.superset_pattern(z)
         elif y or z:
-            bits = 0
-            for v in bit_indices(y | z):
-                bits |= 1 << (universe.full_mask ^ (1 << v))
+            bits = _single_false(universe, y | z)
         else:
             bits = 1 << universe.full_mask
     else:  # HornClause, QuasiHorn2Clause: antecedent true, every consequent false
         bits = universe.superset_pattern(clause.antecedent)
         for v in bit_indices(clause.consequent_mask):
-            bits &= ~universe.var_pattern(v)
+            bits ^= bits & universe.var_pattern(v)
     return bits
+
+
+def block_violators(universe: VariableUniverse, x: int, parts) -> int:
+    """Bitset over all 2**n masks marking the assignments that break the
+    block ``(x, parts)`` (see :func:`block_broken`).
+
+    A single part breaks on its single-false masks.  Otherwise, above x the
+    false set meets part P on ``above ^ (above & sup(P))``; folding the
+    parts with ``two |= one & meets`` and then ``one |= meets`` leaves in
+    ``two`` the masks whose false set meets two parts.
+    """
+    if len(parts) == 1:
+        return _single_false(universe, parts[0])
+    sup = universe.superset_pattern
+    above = sup(x)
+    one = two = 0
+    for part in parts:
+        meets = above ^ (above & sup(part))
+        two |= one & meets
+        one |= meets
+    return two
 
 
 def model_bitset(formula) -> int:
     """Bitset over all 2**n masks marking the models of ``formula``.
 
-    The complement of the union of the clauses' violator sets: one OR per
-    clause on non-negative ints, then a single XOR with the full set.
+    The complement of the union of the violator sets of the formula's base
+    clauses and of its blocks: one OR per set on non-negative ints, then a
+    single XOR with the full set.
 
     The universe keeps the violator sets of the formula whose model set it
-    last built, keyed by :func:`_cache_key`, and no others.  Consecutive
-    hypotheses share most of their clauses, so a rebuild computes only the
-    sets of the clauses that are new.
+    last built, a clause's keyed by :func:`_cache_key` and a block's by the
+    block ``(x, parts)`` itself, and no others.  Consecutive hypotheses
+    share most of their clauses and blocks, so a rebuild computes only the
+    sets of the ones that are new.
     """
     universe = formula.universe
     require_enumerable(universe)
     cache = universe._violator_cache
     kept = {}
     violated = 0
-    for clause in formula.clauses:
+    # any value with a universe and clauses will do; one with blocks is
+    # keyed by its base clauses and its blocks
+    blocks = getattr(formula, "blocks", ())
+    for clause in formula.base if blocks else formula.clauses:
         key = _cache_key(clause)
         bits = cache.get(key)
         if bits is None:
             bits = violator_bitset(clause)
         kept[key] = bits
+        violated |= bits
+    for block in blocks:
+        bits = cache.get(block)
+        if bits is None:
+            bits = block_violators(universe, *block)
+        kept[block] = bits
         violated |= bits
     universe._violator_cache = kept
     return ((1 << (1 << universe.n)) - 1) ^ violated

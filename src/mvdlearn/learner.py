@@ -36,6 +36,7 @@ from .core import (
     MvdFormula,
     VariableUniverse,
     bit_indices,
+    block_broken,
     false_clause,
 )
 from .errors import BoundViolationError, OracleContractError
@@ -109,24 +110,6 @@ def construct_h0(universe: VariableUniverse, mem: MembershipOracle) -> MvdFormul
     return MvdFormula(universe, clauses)
 
 
-def _block_broken(false_set: int, parts) -> bool:
-    """Whether an assignment covering a block's antecedent violates the block.
-
-    ``false_set`` holds the assignment's false variables, a subset of the
-    stored negative's false set ``F``; ``parts`` are the block's Y-parts,
-    which partition ``F``, each standing for the clause ``x -> y | F\\y``.
-    With two or more parts every clause is proper, and some clause breaks
-    exactly when the false set meets two parts.  A single part is the
-    one-sided clause ``x -> F | -``, broken by exactly one false variable.
-    """
-    if len(parts) == 1:
-        return false_set != 0 and false_set & (false_set - 1) == 0
-    for y in parts:
-        if false_set & y:
-            return false_set & ~y != 0
-    return False
-
-
 class LearnerSession:
     """One run of the learner against a fixed pair of oracles.
 
@@ -142,9 +125,11 @@ class LearnerSession:
     with the number of positives already folded in.  Positives are only
     ever appended, so a rebuild folds in just the new ones, in store order;
     a positive that breaks the block merges the parts it meets into the
-    first of them.  The plain definitions of these steps, on
-    interpretations and clauses, are kept in ``tests/reference.py``, and
-    the tests hold the session to them.
+    first of them.  The hypothesis is built from the blocks
+    (:meth:`MvdFormula.from_blocks` over h0's clauses), so its clauses are
+    only built when something reads them.  The plain definitions of these
+    steps, on interpretations and clauses, are kept in
+    ``tests/reference.py``, and the tests hold the session to them.
     """
 
     def __init__(
@@ -180,11 +165,8 @@ class LearnerSession:
 
         # negative mask -> [Y-parts, number of positives folded in]
         self._block_cache: dict[int, list] = {}
-        self._clauses: dict[tuple[int, int, int], MvdClause] = {}
-        # the hypothesis as masks: assignments h0 excludes, (x, Y-parts) per block
+        # the assignments h0 excludes; the hypothesis's blocks hold the rest
         self._h0_violators: frozenset = frozenset()
-        self._h0_keys: frozenset = frozenset()
-        self._hypothesis_blocks: list[tuple[int, tuple[int, ...]]] = []
         self._hypothesis_classes = 0
 
     # -- oracles -------------------------------------------------------------
@@ -241,20 +223,13 @@ class LearnerSession:
             entry[1] = len(positives)
         return parts
 
-    def _clause(self, x: int, y: int, z: int) -> MvdClause:
-        key = (x, y, z)
-        clause = self._clauses.get(key)
-        if clause is None:
-            clause = self._clauses[key] = MvdClause(self.universe, x, y, z)
-        return clause
-
     def _satisfies(self, mask: int) -> bool:
         """Whether ``mask`` is a model of the current hypothesis."""
         if mask in self._h0_violators:
             return False
         full = self.universe.full_mask
-        for x, parts in self._hypothesis_blocks:
-            if mask & x == x and _block_broken(full ^ mask, parts):
+        for x, parts in self.hypothesis.blocks:
+            if mask & x == x and block_broken(full ^ mask, parts):
                 return False
         return True
 
@@ -273,7 +248,7 @@ class LearnerSession:
         """The clause block of every stored negative, in store order."""
         full = self.universe.full_mask
         return [
-            [self._clause(neg.mask, y, full ^ neg.mask ^ y)
+            [MvdClause(self.universe, neg.mask, y, full ^ neg.mask ^ y)
              for y in self._block(neg.mask, self.positives)]
             for neg in self.negatives
         ]
@@ -330,8 +305,7 @@ class LearnerSession:
         # every clause h0 can hold (`* -> F` and `V\{v} -> v`) is violated
         # by exactly one assignment: its antecedent
         self._h0_violators = frozenset(c.x_mask for c in self.h0.clauses)
-        self._h0_keys = frozenset(c.orientation_key() for c in self.h0.clauses)
-        self._hypothesis_classes = len(self._h0_keys)
+        self._hypothesis_classes = len(self.h0.clauses)
         while True:
             counterexample = self._equivalence()
             if counterexample is None:
@@ -398,7 +372,7 @@ class LearnerSession:
             if i == slot:
                 continue
             mask = self.negatives[i].mask
-            if mask & x == x and _block_broken(full ^ mask, parts):
+            if mask & x == x and block_broken(full ^ mask, parts):
                 removed.append((i, self.negatives[i]))
                 del self.negatives[i]
                 del self.replacements[i]
@@ -441,7 +415,7 @@ class LearnerSession:
             for i, a in enumerate(negatives):
                 for b in negatives[i + 1:]:
                     inter = a & b
-                    if (inter & kernel == kernel and _block_broken(full ^ inter, parts)
+                    if (inter & kernel == kernel and block_broken(full ^ inter, parts)
                             and self._mem_mask(inter)):
                         found = inter
                         break
@@ -453,27 +427,28 @@ class LearnerSession:
         raise BoundViolationError("positive-example harvesting exceeded the universe size")
 
     def _rebuild(self) -> None:
-        """Fold the new positives into every block, then build the hypothesis."""
-        full = self.universe.full_mask
-        clauses = list(self.h0.clauses)
-        keys = set(self._h0_keys)
+        """Fold the new positives into every block, then build the hypothesis.
+
+        ``H=`` counts the clauses up to Y/Z orientation without building
+        them.  The h0 clauses are one class each.  A block of one part is
+        one clause, and the two clauses of a two-part block are orientation
+        twins; with k >= 3 parts, each part's clause is its own class.  A
+        repeated negative mask repeats its block, which counts once.
+        """
         blocks = []
         cache = {}
+        classes = len(self.h0.clauses)
         for neg in self.negatives:
             x = neg.mask
             parts = tuple(self._block(x, self.positives))
+            if x not in cache:
+                classes += len(parts) if len(parts) > 2 else 1
             cache[x] = self._block_cache[x]
             blocks.append((x, parts))
-            false_set = full ^ x
-            for y in parts:
-                z = false_set ^ y
-                clauses.append(self._clause(x, y, z))
-                keys.add((x, y, z) if y < z else (x, z, y))
         # blocks of dropped negatives are not kept
         self._block_cache = cache
-        self._hypothesis_blocks = blocks
-        self._hypothesis_classes = len(keys)
-        self.hypothesis = MvdFormula(self.universe, clauses)
+        self._hypothesis_classes = classes
+        self.hypothesis = MvdFormula.from_blocks(self.universe, self.h0.clauses, blocks)
 
 
 def learn(

@@ -229,7 +229,7 @@ class EntailmentTeacher(_TeacherBase):
         for s in consequents:
             missing = models
             for v in bit_indices(s):
-                missing &= ~universe.var_pattern(v)
+                missing ^= missing & universe.var_pattern(v)
             sets[s] = down_closure(missing, universe)
         return sets
 
@@ -261,7 +261,8 @@ class RelationTeacher(_TeacherBase):
     sets of proper dependencies hold in the same relations exactly when
     their formulas have the same models (Sagiv, Delobel, Parker and Fagin
     1981), so a formula's answer set is the model set of its proper
-    clauses.  Two rows satisfy a proper dependency exactly when their
+    clauses, built from their blocks (:meth:`MvdFormula.proper_blocks`).
+    Two rows satisfy a proper dependency exactly when their
     agreement assignment satisfies the clause, so membership on at most two
     rows is one bit of the target's model set; scripted relations and
     membership on more rows go through :meth:`holds`.  An equivalence
@@ -281,10 +282,8 @@ class RelationTeacher(_TeacherBase):
         super().__init__(target, strategy, seed, script)
 
     def _answer_sets(self, formula) -> dict:
-        clauses = formula.clauses
-        if not all(c.is_proper for c in clauses):
-            formula = MvdFormula(formula.universe, [c for c in clauses if c.is_proper])
-        return {0: model_bitset(formula)}
+        proper = MvdFormula.from_blocks(formula.universe, (), formula.proper_blocks())
+        return {0: model_bitset(proper)}
 
     def holds(self, relation: Relation, formula) -> bool:
         return all(mvd_holds(relation, clause) for clause in formula.clauses)

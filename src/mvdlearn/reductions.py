@@ -38,6 +38,7 @@ from .core import (
     QuasiHorn2Clause,
     VariableUniverse,
     bit_indices,
+    block_broken,
     canonical_select,
     down_closure,
     entails,
@@ -93,17 +94,18 @@ def translate_oracles(reduction: ReductionPair, mem_source, eq_source):
 # Data relations -> truth assignments
 
 
-def _pair_holds(agree: int, clauses) -> bool:
-    """Whether the dependencies ``(x, y, z)`` all hold in a two-row relation
-    whose rows agree exactly on the mask ``agree``.
+def _pair_holds(agree: int, blocks, full: int) -> bool:
+    """Whether the proper dependencies of ``blocks`` (see
+    :meth:`MvdFormula.proper_blocks`) all hold in a two-row relation whose
+    rows agree exactly on the mask ``agree``.
 
     A proper dependency fails there exactly when ``agree`` violates its
-    clause: X all true, and neither Y nor Z all true.  A clause with an
-    empty side never fails: it holds in every relation, though it excludes
-    assignments.
+    clause, so a block fails when ``agree`` covers its antecedent and
+    breaks it.  A clause with an empty side never fails: it holds in every
+    relation, though it excludes assignments.
     """
     return not any(
-        agree & x == x and agree & y != y and agree & z != z for x, y, z in clauses
+        agree & x == x and block_broken(full ^ agree, parts) for x, parts in blocks
     )
 
 
@@ -135,11 +137,12 @@ def relation_ce_to_interp(
         raise OracleContractError(
             "a relation with fewer than two rows cannot be a counterexample"
         )
-    clauses = [(c.x_mask, c.y_mask, c.z_mask) for c in hypothesis.clauses]
+    blocks = hypothesis.proper_blocks()
+    full = universe.full_mask
     rows = relation.rows
     if len(rows) == 2:
         agree = agreement_mask(*rows)
-        if bool(mem_relation(relation)) != _pair_holds(agree, clauses):
+        if bool(mem_relation(relation)) != _pair_holds(agree, blocks, full):
             return Interpretation(universe, agree)
     else:
         hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
@@ -148,7 +151,7 @@ def relation_ce_to_interp(
                 agree = agreement_mask(rows[i], rows[j])
                 # a pair on which the hypothesis agrees with its verdict on
                 # the whole relation, and the target does not
-                if _pair_holds(agree, clauses) == hypothesis_holds and bool(
+                if _pair_holds(agree, blocks, full) == hypothesis_holds and bool(
                     mem_relation(Relation(relation.schema, (rows[i], rows[j])))
                 ) != hypothesis_holds:
                     return Interpretation(universe, agree)
@@ -275,8 +278,8 @@ def mvdf_to_horn(formula, strict: bool = True) -> HornFormula:
     closed = models | top
     todo = (top << 1) - 1
     clauses = []
-    while todo & ~closed:
-        p = canonical_select(todo & ~closed, universe, 0)
+    while pending := todo ^ (todo & closed):
+        p = canonical_select(pending, universe, 0)
         c = meet_above(closed, universe, p)
         if c == p:
             if strict:
@@ -288,10 +291,11 @@ def mvdf_to_horn(formula, strict: bool = True) -> HornFormula:
             closed = (top << 1) - 1
             for v in range(universe.n):
                 pattern = universe.var_pattern(v)
-                closed &= down_closure(models & ~pattern, universe) | pattern
+                closed &= down_closure(models ^ (models & pattern), universe) | pattern
             continue
         clauses.extend(HornClause(universe, p, v) for v in bit_indices(c & ~p))
-        todo &= ~(sup(p) & ~sup(c))
+        above = sup(p)
+        todo ^= todo & (above ^ (above & sup(c)))
     if not models & top:
         clauses.append(HornClause(universe, universe.full_mask, None))
     return HornFormula(universe, clauses)
@@ -379,7 +383,8 @@ def qh_ce_to_mvd(clause: QuasiHorn2Clause, hypothesis, mem_quasi) -> MvdClause:
     y, z = 1 << v, 1 << w
     for cand in bit_indices(universe.full_mask & ~(x | y | z)):
         if grow_against_hypothesis:
-            extend_left = above & ~sup(y | 1 << cand) & ~sup(z) == 0
+            missing_y = above ^ (above & sup(y | 1 << cand))
+            extend_left = missing_y ^ (missing_y & sup(z)) == 0
         else:
             # target side: the pairs within the current sides are already
             # entailed, so only the new variable's pairs need queries

@@ -167,6 +167,31 @@ def random_target(universe: VariableUniverse, rng: random.Random,
     )
 
 
+def random_block_formula(universe: VariableUniverse, rng: random.Random) -> MvdFormula:
+    """A formula built from blocks: a few random base clauses, ``* -> F``
+    among them half the time, then up to four blocks ``(x, parts)`` whose
+    parts split ``V \\ x`` at random, one part allowed.  A block may repeat."""
+    full = universe.full_mask
+    base = [random_clause(universe, rng) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.5:
+        base.append(false_clause(universe))
+    blocks = []
+    for _ in range(rng.randrange(5)):
+        if blocks and rng.random() < 0.2:
+            blocks.append(rng.choice(blocks))
+            continue
+        x = rng.getrandbits(universe.n) & full
+        false_bits = list(bit_indices(full ^ x))
+        if not false_bits:
+            continue
+        rng.shuffle(false_bits)
+        parts = [0] * rng.randrange(1, len(false_bits) + 1)
+        for i, v in enumerate(false_bits):
+            parts[i if i < len(parts) else rng.randrange(len(parts))] |= 1 << v
+        blocks.append((x, tuple(parts)))
+    return MvdFormula.from_blocks(universe, base, blocks)
+
+
 def random_definite_horn(universe: VariableUniverse, rng: random.Random,
                          max_clauses: int = 4) -> HornFormula:
     clauses = []

@@ -69,6 +69,20 @@ def agreement_interp(t, t2, universe: VariableUniverse) -> Interpretation:
     return Interpretation(universe, mask)
 
 
+def pair_holds(agree: int, clauses) -> bool:
+    """Whether the dependencies ``(x, y, z)`` all hold in a two-row relation
+    whose rows agree exactly on the mask ``agree``.
+
+    A proper dependency fails there exactly when ``agree`` violates its
+    clause: X all true, and neither Y nor Z all true.  A clause with an
+    empty side never fails: it holds in every relation, though it excludes
+    assignments.
+    """
+    return not any(
+        agree & x == x and agree & y != y and agree & z != z for x, y, z in clauses
+    )
+
+
 # ---------------------------------------------------------------------------
 # the learner's steps
 

@@ -35,6 +35,8 @@ from mvdlearn import (
 )
 from mvdlearn.core import (
     _cache_key,
+    block_broken,
+    block_violators,
     canonical_select,
     down_closure,
     meet_above,
@@ -48,6 +50,7 @@ from conftest import (
     enumerate_horn_clauses,
     enumerate_quasi2_clauses,
     numbered_universe,
+    random_block_formula,
     random_clause,
     random_definite_horn,
     random_target,
@@ -421,6 +424,39 @@ def test_model_bitset_and_superset_pattern_match_the_plain_definitions():
             assert got == expected, formula
 
 
+def test_block_formulas_match_the_clauses_they_stand_for():
+    # clauses in order (base, then each block's parts) with exact dedup, one
+    # violator set per block, and the proper part as blocks
+    rng = random.Random(1981)
+    seen = {"one-part block": 0, "repeated block": 0, "* -> F in the base": 0}
+    for trial in range(300):
+        u = numbered_universe(2 + trial % 5)
+        full = u.full_mask
+        f = random_block_formula(u, rng)
+        expected = list(f.base)
+        for x, parts in f.blocks:
+            block = [MvdClause(u, x, y, full ^ x ^ y) for y in parts]
+            expected.extend(block)
+            violators = 0
+            for m in range(1 << u.n):
+                broken = any(violates(Interpretation(u, m), c) for c in block)
+                violators |= broken << m
+                if m & x == x:
+                    assert block_broken(full ^ m, parts) == broken
+            assert block_violators(u, x, parts) == violators
+            seen["one-part block"] += len(parts) == 1
+        plain = MvdFormula(u, expected)
+        assert f.clauses == plain.clauses
+        assert model_bitset(f) == model_bitset(plain)
+        proper = MvdFormula.from_blocks(u, (), f.proper_blocks())
+        assert {c.orientation_key() for c in proper.clauses} == {
+            c.orientation_key() for c in f.clauses if c.is_proper
+        }
+        seen["repeated block"] += len(set(f.blocks)) < len(f.blocks)
+        seen["* -> F in the base"] += false_clause(u) in f.base
+    assert all(seen.values()), seen
+
+
 def test_models_with_nonmodel_intersection_cover_the_universe():
     # two models of the same formula whose intersection is not a model can
     # only disagree where they jointly cover everything
@@ -449,10 +485,18 @@ def test_the_violator_cache_holds_the_last_model_sets_clauses_only():
         # g keeps some of f's clauses, drops the others and adds new ones
         g = MvdFormula(u, [c for c in f.clauses if rng.random() < 0.5]
                        + list(random_target(u, rng, max_clauses=3).clauses))
-        for formula in (f, g):
+        # b1 and b2 are built from blocks, and b2 keeps some of b1's blocks
+        b1 = random_block_formula(u, rng)
+        b2 = MvdFormula.from_blocks(
+            u, random_block_formula(u, rng).base,
+            [block for block in b1.blocks if rng.random() < 0.5]
+            + list(random_block_formula(u, rng).blocks),
+        )
+        for formula in (f, g, b1, b2, f):
             model_bitset(formula)
             assert u._violator_cache == {
-                _cache_key(c): violator_bitset(c) for c in formula.clauses
+                **{_cache_key(c): violator_bitset(c) for c in formula.base},
+                **{block: block_violators(u, *block) for block in formula.blocks},
             }
         before = dict(u._violator_cache)
         probes = [*random_target(u, rng, max_clauses=3).clauses,

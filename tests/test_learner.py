@@ -14,12 +14,14 @@ from mvdlearn import (
     MvdFormula,
     OracleContractError,
     construct_h0,
+    false_clause,
     find_counterexample,
     learn,
     parse_clause,
     parse_formula,
     satisfies,
 )
+from mvdlearn.core import model_bitset
 from mvdlearn.learner import (
     IterationEvent,
     LearnerSession,
@@ -706,6 +708,67 @@ def test_one_iteration_from_a_prepared_state_matches_the_reference_session():
         )
         seen["error"] += isinstance(result, str)
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# the hypothesis built from blocks
+
+
+def _prepared_session(rng, n):
+    """A session whose h0 is built and whose stored examples are drawn at
+    random against a random model set; a negative mask may repeat."""
+    u = numbered_universe(n)
+    models = {m for m in range(1 << n) if rng.random() < 0.5}
+    nonmodels = [m for m in range(1 << n)
+                 if m not in models and (u.full_mask ^ m).bit_count() >= 2]
+    session = LearnerSession(u, lambda interp: interp.mask in models, lambda h: None)
+    session.run()
+    if nonmodels:
+        session.negatives = [Interpretation(u, rng.choice(nonmodels))
+                             for _ in range(rng.randrange(1, 5))]
+    session.positives = [Interpretation(u, m) for m in
+                         rng.sample(sorted(models), min(len(models), rng.randrange(5)))]
+    session._rebuild()
+    return session
+
+
+def test_block_hypothesis_model_sets_match_their_clauses():
+    rng = random.Random(1992)
+    seen = {"state": 0, "one-part block": 0, "* -> F in the base": 0}
+
+    def check(session, event=None):
+        hypothesis = session.hypothesis
+        plain = MvdFormula(hypothesis.universe, hypothesis.clauses)
+        assert model_bitset(hypothesis) == model_bitset(plain)
+        seen["state"] += 1
+        seen["one-part block"] += any(len(parts) == 1 for _, parts in hypothesis.blocks)
+        seen["* -> F in the base"] += false_clause(hypothesis.universe) in hypothesis.base
+
+    for trial in range(60):
+        n = 3 + trial % 6
+        u = numbered_universe(n)
+        target = random_target(u, rng)
+        for strategy in ("exhaustive", "random"):
+            teacher = MvdfInterpretationTeacher(target, strategy, seed=trial)
+            learn(u, teacher.membership_answer, teacher.equivalence_answer, observer=check)
+    # seeded runs merge no block into one part; prepared states do
+    for _ in range(300):
+        check(_prepared_session(rng, rng.randrange(3, 7)))
+    assert all(seen.values()), seen
+
+
+def test_block_hypothesis_has_the_reference_clauses_and_class_count():
+    # clause order, orientation and dedup as the reference rebuild; H= as
+    # its orientation classes, a repeated negative mask counted once
+    rng = random.Random(2323)
+    repeated = 0
+    for _ in range(400):
+        session = _prepared_session(rng, rng.randrange(3, 7))
+        expected = rebuild_hypothesis(session.h0, session.negatives, session.positives)
+        assert session.hypothesis.clauses == expected.clauses
+        assert session._hypothesis_classes == len(orientation_classes(expected))
+        repeated += len({neg.mask for neg in session.negatives}) < len(session.negatives)
+    assert repeated
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from mvdlearn.oracles import (
 from mvdlearn.core import bit_indices, model_bitset
 from mvdlearn.reductions import (
     ReductionPair,
+    _pair_holds,
     _unit_closure,
     horn_entailment_reduction,
     horn_f_eq,
@@ -61,12 +62,13 @@ from conftest import (
     enumerate_quasi2_clauses,
     model_masks,
     numbered_universe,
+    random_block_formula,
     random_definite_horn,
     random_proper_clause,
     random_target,
     random_wide_empty_side_clause,
 )
-from reference import agreement_interp, enum_masks
+from reference import agreement_interp, enum_masks, pair_holds
 
 
 def entail_oracle(target):
@@ -223,6 +225,22 @@ def test_relation_ce_matches_the_reference_pair_scan():
         assert got == expected
         outcomes.add(isinstance(got[0], str))
     assert outcomes == {True, False}
+
+
+def test_block_pair_judge_matches_the_clause_triples():
+    # relation_ce_to_interp judges a two-row relation on the hypothesis's
+    # proper blocks; the reference reads every clause as a triple
+    rng = random.Random(44)
+    for trial in range(150):
+        u = numbered_universe(2 + trial % 5)
+        if trial % 3:
+            hypothesis = random_block_formula(u, rng)
+        else:
+            hypothesis = random_target(u, rng)
+        blocks = hypothesis.proper_blocks()
+        triples = [(c.x_mask, c.y_mask, c.z_mask) for c in hypothesis.clauses]
+        for agree in range(1 << u.n):
+            assert _pair_holds(agree, blocks, u.full_mask) == pair_holds(agree, triples)
 
 
 # ---------------------------------------------------------------------------
