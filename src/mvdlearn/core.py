@@ -76,7 +76,7 @@ class VariableUniverse:
         self._var_patterns = None
         self._layers = None
         # the violator sets of the formula last given to model_bitset, keyed
-        # by clause kind and masks or by a block's masks, never by the
+        # by a block's masks or by a clause's kind and masks, never by the
         # clause itself: a clause refers back to its universe, and that
         # cycle would keep the cached bitsets alive until a full garbage
         # collection
@@ -209,7 +209,7 @@ class Interpretation:
 
     def to_bits(self) -> str:
         """Serialize as a 0/1 string in variable-declaration order."""
-        return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.universe.n))
+        return format(self.mask, f"0{self.universe.n}b")[::-1]
 
     @classmethod
     def from_bits(cls, universe: VariableUniverse, bits: str) -> "Interpretation":
@@ -217,11 +217,7 @@ class Interpretation:
             raise ParseError(
                 f"interpretation {bits!r} is not a {universe.n}-character 0/1 string"
             )
-        mask = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(universe, mask)
+        return cls(universe, int(bits[::-1], 2))
 
     def __repr__(self):
         return f"Interpretation({self.to_bits()})"
@@ -456,30 +452,30 @@ class _BaseFormula:
 class MvdFormula(_BaseFormula):
     """A conjunction of :class:`MvdClause` values over one universe.
 
-    ``base`` holds the clauses given one by one and ``blocks`` the blocks
-    of :meth:`from_blocks`; a formula built from clauses alone has no
-    blocks, and its ``clauses`` are its ``base``.
+    The formula holds the clauses it was built from, or the blocks of
+    :meth:`from_blocks`, and builds the other form on first read: each
+    clause's block is :func:`clause_block`.
     """
 
-    __slots__ = ("base", "blocks")
+    __slots__ = ("_blocks",)
 
     def __init__(self, universe: VariableUniverse, clauses: Iterable = ()):
         super().__init__(universe, clauses)
-        self.base = self._clauses
-        self.blocks = ()
+        self._blocks = None
 
     @classmethod
-    def from_blocks(cls, universe: VariableUniverse, base: Iterable, blocks: Iterable) -> "MvdFormula":
-        """The formula of ``base``'s clauses and of ``blocks``.
+    def from_blocks(cls, universe: VariableUniverse, blocks: Iterable) -> "MvdFormula":
+        """The formula of ``blocks``.
 
         A block ``(x, parts)`` stands for the clauses ``x -> y | F\\y``, one
-        per part y, where the parts partition ``F = V \\ x``; see
-        :func:`block_broken`.  :func:`model_bitset` builds one violator set
-        per block, and ``clauses`` (the base clauses, then each block's
-        clauses in part order, deduplicated) is built on first read.
+        per part y, where the parts partition ``F = V \\ x``, and the block
+        ``(V, ())`` for ``* -> F``; see :func:`block_broken`.
+        :func:`model_bitset` builds one violator set per block, and
+        ``clauses`` (each block's clauses in part order, deduplicated) is
+        built on first read.
         """
-        formula = cls(universe, base)
-        formula.blocks = tuple(blocks)
+        formula = cls(universe)
+        formula._blocks = tuple(blocks)
         formula._clauses = None
         return formula
 
@@ -488,20 +484,23 @@ class MvdFormula(_BaseFormula):
         if self._clauses is None:
             universe = self.universe
             full = universe.full_mask
-            clauses = list(self.base)
-            for x, parts in self.blocks:
-                clauses.extend(MvdClause(universe, x, y, full ^ x ^ y) for y in parts)
-            self._clauses = tuple(dict.fromkeys(clauses))
+            self._clauses = tuple(dict.fromkeys(
+                MvdClause(universe, x, y, full ^ x ^ y)
+                for x, parts in self._blocks
+                for y in parts or (0,)
+            ))
         return self._clauses
 
+    @property
+    def blocks(self) -> tuple:
+        if self._blocks is None:
+            self._blocks = tuple(clause_block(c) for c in self._clauses)
+        return self._blocks
+
     def proper_blocks(self) -> tuple:
-        """The proper part as blocks: each proper base clause ``x -> y | z``
-        as the block ``(x, (y, z))``, then the blocks of two or more parts.
-        The clauses with an empty side are left out."""
-        return (
-            *((c.x_mask, (c.y_mask, c.z_mask)) for c in self.base if c.is_proper),
-            *(block for block in self.blocks if len(block[1]) > 1),
-        )
+        """The proper part: the blocks of two or more parts.  The clauses
+        with an empty side are left out."""
+        return tuple(block for block in self.blocks if len(block[1]) > 1)
 
     def __repr__(self):
         body = ", ".join(format_clause(c) for c in self.clauses)
@@ -523,19 +522,19 @@ Formula = Union[MvdFormula, HornFormula]
 # Satisfaction
 
 
+def clause_block(clause: MvdClause) -> tuple:
+    """The block ``(x, parts)`` of a full-cover clause: its non-empty sides
+    are the parts, so ``x -> y | z`` is ``(x, (y, z))``, ``x -> y | -`` is
+    ``(x, (y,))`` and ``* -> F`` is ``(V, ())``."""
+    return clause.x_mask, tuple(side for side in (clause.y_mask, clause.z_mask) if side)
+
+
 def violates(interp: Interpretation, clause: MvdClause) -> bool:
-    """Case analysis over the clause shape; see the module docstring."""
+    """Whether ``interp`` covers the clause's antecedent and breaks its
+    block; see the module docstring and :func:`block_broken`."""
     _require_same_universe(interp, clause)
-    if interp.mask & clause.x_mask != clause.x_mask:
-        return False
-    false_mask = interp.false_mask
-    y, z = clause.y_mask, clause.z_mask
-    if y and z:
-        return bool(y & false_mask) and bool(z & false_mask)
-    if y or z:
-        side = y | z
-        return false_mask.bit_count() == 1 and bool(side & false_mask)
-    return false_mask == 0
+    x, parts = clause_block(clause)
+    return interp.mask & x == x and block_broken(interp.false_mask, parts)
 
 
 def block_broken(false_set: int, parts) -> bool:
@@ -546,14 +545,27 @@ def block_broken(false_set: int, parts) -> bool:
     each standing for the clause ``x -> y | F\\y``.  With two or more parts
     every clause is proper, and some clause breaks exactly when the false
     set meets two parts.  A single part is the one-sided clause
-    ``x -> F | -``, broken by exactly one false variable.
+    ``x -> F | -``, broken by exactly one false variable, and no part is
+    ``* -> F``, broken by the all-true assignment alone.
     """
-    if len(parts) == 1:
+    if len(parts) > 1:
+        for y in parts:
+            if false_set & y:
+                return false_set & ~y != 0
+        return False
+    if parts:
         return false_set != 0 and false_set & (false_set - 1) == 0
-    for y in parts:
-        if false_set & y:
-            return false_set & ~y != 0
-    return False
+    return false_set == 0
+
+
+def blocks_hold(mask: int, blocks, full: int) -> bool:
+    """Whether the assignment ``mask`` breaks none of ``blocks``; ``full`` is
+    the universe's full mask."""
+    false_set = full ^ mask
+    for x, parts in blocks:
+        if mask & x == x and block_broken(false_set, parts):
+            return False
+    return True
 
 
 def _satisfies_clause(interp: Interpretation, clause: Clause) -> bool:
@@ -586,20 +598,26 @@ def satisfies(interp: Interpretation, formula) -> bool:
 
 
 def _cache_key(clause: Clause) -> tuple:
-    """The clause's kind and masks: its identity within one universe."""
+    """The clause's identity within one universe: a full-cover clause's
+    block, or a Horn or two-literal clause's kind and masks."""
     if isinstance(clause, MvdClause):
-        return (MvdClause, clause.x_mask, clause.y_mask, clause.z_mask)
+        return clause_block(clause)
     if isinstance(clause, (HornClause, QuasiHorn2Clause)):
         return (type(clause), clause.antecedent, clause.consequent_mask)
     raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
 
 
-def _single_false(universe: VariableUniverse, side: int) -> int:
-    """Bitset of the assignments whose one false variable lies in ``side``."""
-    bits = 0
-    for v in bit_indices(side):
-        bits |= 1 << (universe.full_mask ^ (1 << v))
-    return bits
+def _key_violators(universe: VariableUniverse, key: tuple) -> int:
+    """The violator set of a :func:`_cache_key`: for a Horn or two-literal
+    clause the assignments with the antecedent true and every consequent
+    false, otherwise the block's."""
+    if key[0] in (HornClause, QuasiHorn2Clause):
+        _, antecedent, consequents = key
+        bits = universe.superset_pattern(antecedent)
+        for v in bit_indices(consequents):
+            bits ^= bits & universe.var_pattern(v)
+        return bits
+    return block_violators(universe, *key)
 
 
 def violator_bitset(clause: Clause) -> int:
@@ -609,35 +627,27 @@ def violator_bitset(clause: Clause) -> int:
     2**n-bit set is a negative int, and the AND with it costs several times
     more than the two operations on non-negative ints.
     """
-    universe = clause.universe
-    if isinstance(clause, MvdClause):
-        y, z = clause.y_mask, clause.z_mask
-        if y and z:
-            bits = universe.superset_pattern(clause.x_mask)
-            bits ^= bits & universe.superset_pattern(y)
-            bits ^= bits & universe.superset_pattern(z)
-        elif y or z:
-            bits = _single_false(universe, y | z)
-        else:
-            bits = 1 << universe.full_mask
-    else:  # HornClause, QuasiHorn2Clause: antecedent true, every consequent false
-        bits = universe.superset_pattern(clause.antecedent)
-        for v in bit_indices(clause.consequent_mask):
-            bits ^= bits & universe.var_pattern(v)
-    return bits
+    return _key_violators(clause.universe, _cache_key(clause))
 
 
 def block_violators(universe: VariableUniverse, x: int, parts) -> int:
     """Bitset over all 2**n masks marking the assignments that break the
     block ``(x, parts)`` (see :func:`block_broken`).
 
-    A single part breaks on its single-false masks.  Otherwise, above x the
-    false set meets part P on ``above ^ (above & sup(P))``; folding the
-    parts with ``two |= one & meets`` and then ``one |= meets`` leaves in
-    ``two`` the masks whose false set meets two parts.
+    No part breaks on the all-true mask, and a single part on the masks
+    whose one false variable lies in it.  Otherwise, above x the false set
+    meets part P on ``above ^ (above & sup(P))``; folding the parts with
+    ``two |= one & meets`` and then ``one |= meets`` leaves in ``two`` the
+    masks whose false set meets two parts.
     """
+    full = universe.full_mask
+    if not parts:
+        return 1 << full
     if len(parts) == 1:
-        return _single_false(universe, parts[0])
+        bits = 0
+        for v in bit_indices(parts[0]):
+            bits |= 1 << (full ^ (1 << v))
+        return bits
     sup = universe.superset_pattern
     above = sup(x)
     one = two = 0
@@ -651,36 +661,30 @@ def block_violators(universe: VariableUniverse, x: int, parts) -> int:
 def model_bitset(formula) -> int:
     """Bitset over all 2**n masks marking the models of ``formula``.
 
-    The complement of the union of the violator sets of the formula's base
-    clauses and of its blocks: one OR per set on non-negative ints, then a
+    The complement of the union of the violator sets of an
+    :class:`MvdFormula`'s blocks, or of the clauses of any other value with
+    a universe and clauses: one OR per set on non-negative ints, then a
     single XOR with the full set.
 
     The universe keeps the violator sets of the formula whose model set it
-    last built, a clause's keyed by :func:`_cache_key` and a block's by the
-    block ``(x, parts)`` itself, and no others.  Consecutive hypotheses
-    share most of their clauses and blocks, so a rebuild computes only the
-    sets of the ones that are new.
+    last built, keyed by block or by :func:`_cache_key`, and no others.
+    Consecutive hypotheses share most of their blocks, so a rebuild
+    computes only the sets of the ones that are new.
     """
     universe = formula.universe
     require_enumerable(universe)
+    if isinstance(formula, MvdFormula):
+        keys = formula.blocks
+    else:
+        keys = map(_cache_key, formula.clauses)
     cache = universe._violator_cache
     kept = {}
     violated = 0
-    # any value with a universe and clauses will do; one with blocks is
-    # keyed by its base clauses and its blocks
-    blocks = getattr(formula, "blocks", ())
-    for clause in formula.base if blocks else formula.clauses:
-        key = _cache_key(clause)
+    for key in keys:
         bits = cache.get(key)
         if bits is None:
-            bits = violator_bitset(clause)
+            bits = _key_violators(universe, key)
         kept[key] = bits
-        violated |= bits
-    for block in blocks:
-        bits = cache.get(block)
-        if bits is None:
-            bits = block_violators(universe, *block)
-        kept[block] = bits
         violated |= bits
     universe._violator_cache = kept
     return ((1 << (1 << universe.n)) - 1) ^ violated

@@ -37,6 +37,7 @@ from .core import (
     VariableUniverse,
     bit_indices,
     block_broken,
+    blocks_hold,
     false_clause,
 )
 from .errors import BoundViolationError, OracleContractError
@@ -125,9 +126,9 @@ class LearnerSession:
     with the number of positives already folded in.  Positives are only
     ever appended, so a rebuild folds in just the new ones, in store order;
     a positive that breaks the block merges the parts it meets into the
-    first of them.  The hypothesis is built from the blocks
-    (:meth:`MvdFormula.from_blocks` over h0's clauses), so its clauses are
-    only built when something reads them.  The plain definitions of these
+    first of them.  The hypothesis is h0's blocks followed by these
+    (:meth:`MvdFormula.from_blocks`), so its clauses are only built when
+    something reads them.  The plain definitions of these
     steps, on interpretations and clauses, are kept in
     ``tests/reference.py``, and the tests hold the session to them.
     """
@@ -165,8 +166,9 @@ class LearnerSession:
 
         # negative mask -> [Y-parts, number of positives folded in]
         self._block_cache: dict[int, list] = {}
-        # the assignments h0 excludes; the hypothesis's blocks hold the rest
+        # the assignments h0 excludes, and the stored negatives' blocks
         self._h0_violators: frozenset = frozenset()
+        self._negative_blocks: tuple = ()
         self._hypothesis_classes = 0
 
     # -- oracles -------------------------------------------------------------
@@ -225,13 +227,9 @@ class LearnerSession:
 
     def _satisfies(self, mask: int) -> bool:
         """Whether ``mask`` is a model of the current hypothesis."""
-        if mask in self._h0_violators:
-            return False
-        full = self.universe.full_mask
-        for x, parts in self.hypothesis.blocks:
-            if mask & x == x and block_broken(full ^ mask, parts):
-                return False
-        return True
+        return mask not in self._h0_violators and blocks_hold(
+            mask, self._negative_blocks, self.universe.full_mask
+        )
 
     def _refines(self, a: int, b: int) -> bool:
         """Whether ``(a, b)`` is a refinement pair: ``a & b`` drops a true
@@ -448,7 +446,10 @@ class LearnerSession:
         # blocks of dropped negatives are not kept
         self._block_cache = cache
         self._hypothesis_classes = classes
-        self.hypothesis = MvdFormula.from_blocks(self.universe, self.h0.clauses, blocks)
+        self._negative_blocks = tuple(blocks)
+        self.hypothesis = MvdFormula.from_blocks(
+            self.universe, self.h0.blocks + self._negative_blocks
+        )
 
 
 def learn(

@@ -260,8 +260,9 @@ class RelationTeacher(_TeacherBase):
     the schema.  An ``X -> Y | -`` clause holds in every relation, and two
     sets of proper dependencies hold in the same relations exactly when
     their formulas have the same models (Sagiv, Delobel, Parker and Fagin
-    1981), so a formula's answer set is the model set of its proper
-    clauses, built from their blocks (:meth:`MvdFormula.proper_blocks`).
+    1981), so a formula's answer set is the model set of its proper part:
+    its blocks of two or more parts (:meth:`MvdFormula.proper_blocks`),
+    whether it was built from clauses or from blocks.
     Two rows satisfy a proper dependency exactly when their
     agreement assignment satisfies the clause, so membership on at most two
     rows is one bit of the target's model set; scripted relations and
@@ -282,7 +283,7 @@ class RelationTeacher(_TeacherBase):
         super().__init__(target, strategy, seed, script)
 
     def _answer_sets(self, formula) -> dict:
-        proper = MvdFormula.from_blocks(formula.universe, (), formula.proper_blocks())
+        proper = MvdFormula.from_blocks(formula.universe, formula.proper_blocks())
         return {0: model_bitset(proper)}
 
     def holds(self, relation: Relation, formula) -> bool:

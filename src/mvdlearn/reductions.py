@@ -38,7 +38,7 @@ from .core import (
     QuasiHorn2Clause,
     VariableUniverse,
     bit_indices,
-    block_broken,
+    blocks_hold,
     canonical_select,
     down_closure,
     entails,
@@ -94,21 +94,6 @@ def translate_oracles(reduction: ReductionPair, mem_source, eq_source):
 # Data relations -> truth assignments
 
 
-def _pair_holds(agree: int, blocks, full: int) -> bool:
-    """Whether the proper dependencies of ``blocks`` (see
-    :meth:`MvdFormula.proper_blocks`) all hold in a two-row relation whose
-    rows agree exactly on the mask ``agree``.
-
-    A proper dependency fails there exactly when ``agree`` violates its
-    clause, so a block fails when ``agree`` covers its antecedent and
-    breaks it.  A clause with an empty side never fails: it holds in every
-    relation, though it excludes assignments.
-    """
-    return not any(
-        agree & x == x and block_broken(full ^ agree, parts) for x, parts in blocks
-    )
-
-
 def relation_ce_to_interp(
     relation: Relation,
     hypothesis: MvdFormula,
@@ -126,7 +111,9 @@ def relation_ce_to_interp(
     Each pair's agreement mask is read once, and the hypothesis side of a
     pair is judged on it: a two-row relation satisfies a proper dependency
     exactly when that assignment satisfies the clause, and a clause with an
-    empty side holds in every relation.  So a two-row relation is its own
+    empty side holds in every relation, so the pair holds when the mask
+    breaks none of the hypothesis's proper blocks
+    (:meth:`MvdFormula.proper_blocks`).  So a two-row relation is its own
     only pair and takes its verdict from it, and only a relation of three
     or more rows is checked with the holds-in-relation check.
     """
@@ -142,7 +129,7 @@ def relation_ce_to_interp(
     rows = relation.rows
     if len(rows) == 2:
         agree = agreement_mask(*rows)
-        if bool(mem_relation(relation)) != _pair_holds(agree, blocks, full):
+        if bool(mem_relation(relation)) != blocks_hold(agree, blocks, full):
             return Interpretation(universe, agree)
     else:
         hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
@@ -151,7 +138,7 @@ def relation_ce_to_interp(
                 agree = agreement_mask(rows[i], rows[j])
                 # a pair on which the hypothesis agrees with its verdict on
                 # the whole relation, and the target does not
-                if _pair_holds(agree, blocks, full) == hypothesis_holds and bool(
+                if blocks_hold(agree, blocks, full) == hypothesis_holds and bool(
                     mem_relation(Relation(relation.schema, (rows[i], rows[j])))
                 ) != hypothesis_holds:
                     return Interpretation(universe, agree)

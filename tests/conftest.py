@@ -21,7 +21,7 @@ from mvdlearn import (
     satisfies,
     violates,
 )
-from mvdlearn.core import bit_indices
+from mvdlearn.core import bit_indices, clause_block
 
 from reference import enum_masks
 
@@ -168,13 +168,14 @@ def random_target(universe: VariableUniverse, rng: random.Random,
 
 
 def random_block_formula(universe: VariableUniverse, rng: random.Random) -> MvdFormula:
-    """A formula built from blocks: a few random base clauses, ``* -> F``
-    among them half the time, then up to four blocks ``(x, parts)`` whose
-    parts split ``V \\ x`` at random, one part allowed.  A block may repeat."""
+    """A formula built from blocks: the blocks of a few random clauses,
+    ``* -> F`` among them half the time, then up to four blocks
+    ``(x, parts)`` whose parts split ``V \\ x`` at random, one part allowed.
+    A block may repeat."""
     full = universe.full_mask
-    base = [random_clause(universe, rng) for _ in range(rng.randrange(3))]
+    clauses = [random_clause(universe, rng) for _ in range(rng.randrange(3))]
     if rng.random() < 0.5:
-        base.append(false_clause(universe))
+        clauses.append(false_clause(universe))
     blocks = []
     for _ in range(rng.randrange(5)):
         if blocks and rng.random() < 0.2:
@@ -189,7 +190,7 @@ def random_block_formula(universe: VariableUniverse, rng: random.Random) -> MvdF
         for i, v in enumerate(false_bits):
             parts[i if i < len(parts) else rng.randrange(len(parts))] |= 1 << v
         blocks.append((x, tuple(parts)))
-    return MvdFormula.from_blocks(universe, base, blocks)
+    return MvdFormula.from_blocks(universe, [*map(clause_block, clauses), *blocks])
 
 
 def random_definite_horn(universe: VariableUniverse, rng: random.Random,

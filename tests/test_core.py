@@ -38,6 +38,7 @@ from mvdlearn.core import (
     block_broken,
     block_violators,
     canonical_select,
+    clause_block,
     down_closure,
     meet_above,
     model_bitset,
@@ -152,6 +153,13 @@ def test_interpretation_bits_round_trip():
         Interpretation.from_bits(u, "111")
     with pytest.raises(ParseError):
         Interpretation.from_bits(u, "11102")
+    # character i is "1" exactly when bit i of the mask is set
+    for n in range(1, 11):
+        u = numbered_universe(n)
+        for mask in range(1 << n):
+            bits = "".join("1" if mask >> i & 1 else "0" for i in range(n))
+            assert Interpretation(u, mask).to_bits() == bits
+            assert Interpretation.from_bits(u, bits).mask == mask
 
 
 def test_universe_mismatch_rejected():
@@ -389,7 +397,9 @@ def _every_clause(u):
 
 
 def test_violator_bitset_matches_the_direct_definition_for_every_kind():
-    for n in range(1, 5):
+    # a full-cover clause is the block of its sides: the formula of that one
+    # block has the clause's models and orientation class
+    for n in range(1, 6):
         u = numbered_universe(n)
         clauses = _every_clause(u)
         for clause in clauses:
@@ -400,6 +410,12 @@ def test_violator_bitset_matches_the_direct_definition_for_every_kind():
                 if not direct:
                     expected |= 1 << m
             assert violator_bitset(clause) == expected, clause
+            if isinstance(clause, MvdClause):
+                formula = MvdFormula.from_blocks(u, [clause_block(clause)])
+                assert model_bitset(formula) == ((1 << (1 << n)) - 1) ^ expected, clause
+                assert {c.orientation_key() for c in formula.clauses} == {
+                    clause.orientation_key()
+                }, clause
 
 
 def test_model_bitset_and_superset_pattern_match_the_plain_definitions():
@@ -425,17 +441,18 @@ def test_model_bitset_and_superset_pattern_match_the_plain_definitions():
 
 
 def test_block_formulas_match_the_clauses_they_stand_for():
-    # clauses in order (base, then each block's parts) with exact dedup, one
-    # violator set per block, and the proper part as blocks
+    # clauses in order (each block's parts, `* -> F` for a block of no
+    # part) with exact dedup, one violator set per block, and the proper
+    # part as blocks
     rng = random.Random(1981)
-    seen = {"one-part block": 0, "repeated block": 0, "* -> F in the base": 0}
+    seen = {"one-part block": 0, "repeated block": 0, "* -> F block": 0}
     for trial in range(300):
         u = numbered_universe(2 + trial % 5)
         full = u.full_mask
         f = random_block_formula(u, rng)
-        expected = list(f.base)
+        expected = []
         for x, parts in f.blocks:
-            block = [MvdClause(u, x, y, full ^ x ^ y) for y in parts]
+            block = [MvdClause(u, x, y, full ^ x ^ y) for y in parts or (0,)]
             expected.extend(block)
             violators = 0
             for m in range(1 << u.n):
@@ -448,12 +465,12 @@ def test_block_formulas_match_the_clauses_they_stand_for():
         plain = MvdFormula(u, expected)
         assert f.clauses == plain.clauses
         assert model_bitset(f) == model_bitset(plain)
-        proper = MvdFormula.from_blocks(u, (), f.proper_blocks())
+        proper = MvdFormula.from_blocks(u, f.proper_blocks())
         assert {c.orientation_key() for c in proper.clauses} == {
             c.orientation_key() for c in f.clauses if c.is_proper
         }
         seen["repeated block"] += len(set(f.blocks)) < len(f.blocks)
-        seen["* -> F in the base"] += false_clause(u) in f.base
+        seen["* -> F block"] += (full, ()) in f.blocks
     assert all(seen.values()), seen
 
 
@@ -488,16 +505,17 @@ def test_the_violator_cache_holds_the_last_model_sets_clauses_only():
         # b1 and b2 are built from blocks, and b2 keeps some of b1's blocks
         b1 = random_block_formula(u, rng)
         b2 = MvdFormula.from_blocks(
-            u, random_block_formula(u, rng).base,
+            u,
             [block for block in b1.blocks if rng.random() < 0.5]
             + list(random_block_formula(u, rng).blocks),
         )
         for formula in (f, g, b1, b2, f):
             model_bitset(formula)
             assert u._violator_cache == {
-                **{_cache_key(c): violator_bitset(c) for c in formula.base},
-                **{block: block_violators(u, *block) for block in formula.blocks},
+                block: block_violators(u, *block) for block in formula.blocks
             }
+        # a formula built from clauses is keyed by its clauses' blocks
+        assert [_cache_key(c) for c in f.clauses] == list(f.blocks)
         before = dict(u._violator_cache)
         probes = [*random_target(u, rng, max_clauses=3).clauses,
                   HornClause(u, u.full_mask, None)]

@@ -40,10 +40,9 @@ from mvdlearn.oracles import (
     MvdfInterpretationTeacher,
     RelationTeacher,
 )
-from mvdlearn.core import bit_indices, model_bitset
+from mvdlearn.core import bit_indices, blocks_hold, model_bitset
 from mvdlearn.reductions import (
     ReductionPair,
-    _pair_holds,
     _unit_closure,
     horn_entailment_reduction,
     horn_f_eq,
@@ -240,7 +239,7 @@ def test_block_pair_judge_matches_the_clause_triples():
         blocks = hypothesis.proper_blocks()
         triples = [(c.x_mask, c.y_mask, c.z_mask) for c in hypothesis.clauses]
         for agree in range(1 << u.n):
-            assert _pair_holds(agree, blocks, u.full_mask) == pair_holds(agree, triples)
+            assert blocks_hold(agree, blocks, u.full_mask) == pair_holds(agree, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +606,7 @@ def test_mvdf_to_horn_rejects_non_horn():
     assert err.value.residual is f
 
 
-def test_horn_envelope_properties():
+def test_lenient_horn_extraction_properties():
     rng = random.Random(9)
 
     for _ in range(40):
@@ -623,7 +622,7 @@ def test_horn_envelope_properties():
         assert equivalent(mvdf_to_horn(horn_formula_to_mvd(horn), strict=False), horn)
 
 
-def test_horn_envelope_models_are_the_reference_closure():
+def test_lenient_horn_extraction_models_are_the_reference_closure():
     rng = random.Random(1996)
     kinds = set()
     for trial in range(240):
@@ -636,8 +635,11 @@ def test_horn_envelope_models_are_the_reference_closure():
             else "V a model" if models >> u.full_mask & 1
             else "V not a model"
         )
+        closure = _reference_intersection_closure(formula)
+        if set(model_masks(formula)) != closure:
+            kinds.add("non-Horn")
         envelope = mvdf_to_horn(formula, strict=False)
-        assert set(model_masks(envelope)) == _reference_intersection_closure(formula)
+        assert set(model_masks(envelope)) == closure
     for n in range(1, 5):
         # every assignment excluded: no variable can be false, nor all true
         u = numbered_universe(n)
@@ -648,10 +650,10 @@ def test_horn_envelope_models_are_the_reference_closure():
         envelope = mvdf_to_horn(unsatisfiable, strict=False)
         assert model_masks(envelope) == []
         assert envelope.clauses == unsatisfiable.clauses
-    assert kinds >= {"V a model", "V not a model"}
+    assert kinds >= {"V a model", "V not a model", "non-Horn"}
 
 
-def test_horn_envelope_leaves_no_horn_clause_in_the_violator_cache():
+def test_horn_extraction_leaves_no_horn_clause_in_the_violator_cache():
     # the Horn extraction builds the formula's model set, and horn_f_eq
     # closes antecedents on both sides, but neither may keep one 2**n-bit
     # set per Horn clause on the universe
