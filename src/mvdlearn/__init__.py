@@ -64,7 +64,6 @@ from .reductions import (
     translate_oracles,
 )
 from .relations import (
-    AttributeSchema,
     Relation,
     find_violating_pair,
     interp_to_pair,

@@ -52,7 +52,7 @@ from .reductions import (
     relation_reduction,
     translate_oracles,
 )
-from .relations import AttributeSchema, find_violating_pair, read_csv
+from .relations import find_violating_pair, read_csv
 
 USAGE_EXIT = 1
 INPUT_EXIT = 2
@@ -222,10 +222,8 @@ _LEARNING = {
     ),
     "learn-mvd": _Learning(
         "mvd", "relation",
-        lambda target, *opts: RelationTeacher(
-            target, AttributeSchema(target.universe.names), *opts
-        ),
-        lambda teacher: relation_reduction(teacher.schema), 1, None,
+        lambda target, *opts: RelationTeacher(target, *opts),
+        lambda teacher: relation_reduction(), 1, None,
     ),
     # the working formula represents a Horn target through the two-clause
     # encoding, so its size bound is twice the Horn clause count
@@ -268,8 +266,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_check_mvd(args) -> int:
     relation = read_csv(_read_text(args.relation))
-    universe = relation.schema.to_universe()
-    clause = parse_clause(args.mvd, universe, "mvd")
+    clause = parse_clause(args.mvd, relation.universe, "mvd")
     pair = find_violating_pair(relation, clause)
     if pair is None:
         print(f"holds: {format_clause(clause)}")

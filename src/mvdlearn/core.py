@@ -51,8 +51,8 @@ class VariableUniverse:
     """
 
     __slots__ = (
-        "names", "cap", "_hash", "_index", "_var_patterns", "_layers", "_violator_cache",
-        "__weakref__",
+        "names", "cap", "n", "full_mask", "_hash", "_index", "_var_patterns", "_layers",
+        "_violator_cache", "__weakref__",
     )
 
     def __init__(self, names: Iterable[str], cap: int = DEFAULT_ENUM_CAP):
@@ -70,6 +70,8 @@ class VariableUniverse:
             seen.add(name)
         self.names = names
         self.cap = cap
+        self.n = len(names)
+        self.full_mask = (1 << len(names)) - 1
         # every clause hash hashes its universe; the name tuple never changes
         self._hash = hash(names)
         self._index = {name: i for i, name in enumerate(names)}
@@ -81,14 +83,6 @@ class VariableUniverse:
         # cycle would keep the cached bitsets alive until a full garbage
         # collection
         self._violator_cache = {}
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
 
     def index(self, name: str) -> int:
         try:
@@ -784,6 +778,13 @@ def mvd_to_quasi2(clause: MvdClause) -> tuple[QuasiHorn2Clause, ...]:
 # clause violated only by the all-true assignment.  `#` starts a comment.
 
 
+def _variable_index(name: str, universe: VariableUniverse, line_no: int) -> int:
+    try:
+        return universe.index(name)
+    except KeyError:
+        raise ParseError(f"unknown variable {name!r}", line_no) from None
+
+
 def _parse_side(tokens: list[str], universe: VariableUniverse, line_no: int) -> int:
     if tokens == ["-"]:
         return 0
@@ -793,10 +794,7 @@ def _parse_side(tokens: list[str], universe: VariableUniverse, line_no: int) -> 
         raise ParseError("empty side (use `-` for an empty side)", line_no)
     mask = 0
     for tok in tokens:
-        try:
-            bit = 1 << universe.index(tok)
-        except KeyError:
-            raise ParseError(f"unknown variable {tok!r}", line_no) from None
+        bit = 1 << _variable_index(tok, universe, line_no)
         if mask & bit:
             raise ParseError(f"variable {tok!r} repeated within a side", line_no)
         mask |= bit
@@ -832,20 +830,13 @@ def _parse_clause_tokens(tokens: list[str], universe: VariableUniverse, kind: st
         if len(rhs) != 1:
             raise ParseError("a Horn clause needs exactly one consequent variable", line_no)
         try:
-            v = universe.index(rhs[0])
-        except KeyError:
-            raise ParseError(f"unknown variable {rhs[0]!r}", line_no) from None
-        try:
-            return HornClause(universe, x_mask, v)
+            return HornClause(universe, x_mask, _variable_index(rhs[0], universe, line_no))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
     if kind == "quasi2":
         if not 1 <= len(rhs) <= 2 or "|" in rhs:
             raise ParseError("expected one or two consequent variables", line_no)
-        try:
-            cons = frozenset(universe.index(tok) for tok in rhs)
-        except KeyError as exc:
-            raise ParseError(str(exc.args[0]), line_no) from None
+        cons = frozenset(_variable_index(tok, universe, line_no) for tok in rhs)
         try:
             return QuasiHorn2Clause(universe, x_mask, cons)
         except ValueError as exc:

@@ -28,7 +28,7 @@ to observe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     Interpretation,
@@ -66,8 +66,7 @@ class TheoreticalBounds:
         return self.n * self.n * self.m
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One line of the per-iteration trace."""
 
     iteration: int

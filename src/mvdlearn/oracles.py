@@ -18,11 +18,11 @@ counterexample strategies are supported:
   the symmetric difference before release.
 
 Hypotheses, membership queries and scripted entries over another universe
-(or schema) are rejected.  A relation teacher judges a formula by its
-proper clauses alone, since an ``X -> Y | -`` clause holds in every
-relation.  Teachers carry a ``stats`` dict counting the queries asked of
-them; the learner's own counters are attributes of its
-:class:`~mvdlearn.learner.LearnerSession`.
+are rejected; a relation's universe is its attributes.  A relation teacher
+judges a formula by its proper clauses alone, since an ``X -> Y | -``
+clause holds in every relation.  Teachers carry a ``stats`` dict counting
+the queries asked of them; the learner's own counters are attributes of
+its :class:`~mvdlearn.learner.LearnerSession`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .core import (
 )
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .relations import (
-    AttributeSchema,
     Relation,
     agreement_mask,
     interp_to_pair,
@@ -256,30 +255,27 @@ class EntailmentTeacher(_TeacherBase):
 class RelationTeacher(_TeacherBase):
     """Teacher for learning dependencies from data relations.
 
-    The target is a set of proper dependencies (both sides non-empty) over
-    the schema.  An ``X -> Y | -`` clause holds in every relation, and two
-    sets of proper dependencies hold in the same relations exactly when
-    their formulas have the same models (Sagiv, Delobel, Parker and Fagin
-    1981), so a formula's answer set is the model set of its proper part:
-    its blocks of two or more parts (:meth:`MvdFormula.proper_blocks`),
-    whether it was built from clauses or from blocks.
-    Two rows satisfy a proper dependency exactly when their
-    agreement assignment satisfies the clause, so membership on at most two
-    rows is one bit of the target's model set; scripted relations and
-    membership on more rows go through :meth:`holds`.  An equivalence
-    answer is the two-row relation (:func:`interp_to_pair`) of the one
-    :meth:`_pick` from the difference of the two model sets, so the
-    ``random`` answer is uniform over the differing assignments.
+    The target is a set of proper dependencies (both sides non-empty), and
+    its universe is the attributes of every relation asked about.  An
+    ``X -> Y | -`` clause holds in every relation, and two sets of proper
+    dependencies hold in the same relations exactly when their formulas
+    have the same models (Sagiv, Delobel, Parker and Fagin 1981), so a
+    formula's answer set is the model set of its proper part: its blocks of
+    two or more parts (:meth:`MvdFormula.proper_blocks`), whether it was
+    built from clauses or from blocks.  Two rows satisfy a proper
+    dependency exactly when their agreement assignment satisfies the
+    clause, so membership on at most two rows is one bit of the target's
+    model set; scripted relations and membership on more rows go through
+    :meth:`holds`.  An equivalence answer is the two-row relation
+    (:func:`interp_to_pair`) of the one :meth:`_pick` from the difference
+    of the two model sets, so the ``random`` answer is uniform over the
+    differing assignments.
     """
 
-    def __init__(self, target: MvdFormula, schema: AttributeSchema,
-                 strategy="exhaustive", seed=0, script=None):
-        if schema.attributes != target.universe.names:
-            raise UniverseMismatchError("schema does not match the target universe")
+    def __init__(self, target: MvdFormula, strategy="exhaustive", seed=0, script=None):
         for clause in target.clauses:
             if not clause.is_proper:
                 raise ValueError("relation teachers require proper dependencies")
-        self.schema = schema
         super().__init__(target, strategy, seed, script)
 
     def _answer_sets(self, formula) -> dict:
@@ -290,8 +286,8 @@ class RelationTeacher(_TeacherBase):
         return all(mvd_holds(relation, clause) for clause in formula.clauses)
 
     def membership_answer(self, example: Relation) -> bool:
-        if example.schema != self.schema:
-            raise UniverseMismatchError("membership query over the wrong schema")
+        if example.universe != self.universe:
+            raise UniverseMismatchError("relation over the wrong universe")
         self.stats["membership_queries"] += 1
         rows = example.rows
         if len(rows) > 2:
@@ -301,7 +297,7 @@ class RelationTeacher(_TeacherBase):
         return bool(self._target_sets[0] >> agreement_mask(rows[0], rows[-1]) & 1)
 
     def _example(self, diffs) -> Relation:
-        return interp_to_pair(Interpretation(self.universe, self._pick(diffs)[0]), self.schema)
+        return interp_to_pair(Interpretation(self.universe, self._pick(diffs)[0]))
 
     def _separates(self, entry, diffs, hypothesis) -> bool:
         return self.holds(entry, self.target) != self.holds(entry, hypothesis)

@@ -37,6 +37,7 @@ from .core import (
     MvdFormula,
     QuasiHorn2Clause,
     VariableUniverse,
+    _require_same_universe,
     bit_indices,
     blocks_hold,
     canonical_select,
@@ -46,10 +47,9 @@ from .core import (
     model_bitset,
     violator_bitset,
 )
-from .errors import ConversionError, OracleContractError, UniverseMismatchError
+from .errors import ConversionError, OracleContractError
 from .learner import learn
 from .relations import (
-    AttributeSchema,
     Relation,
     agreement_mask,
     interp_to_pair,
@@ -101,12 +101,14 @@ def relation_ce_to_interp(
 ) -> Interpretation:
     """Extract an assignment counterexample from a relation counterexample.
 
-    Scans row pairs in row order.  When the hypothesis fails in the
-    relation (so the target must hold in it) the first pair on which the
-    hypothesis fails but the target holds is taken; in the opposite case
-    the first pair on which the hypothesis holds but the target fails.
-    The agreement assignment of that pair disagrees with exactly one of
-    target and hypothesis.  At most ``|r|**2`` membership queries are spent.
+    The relation must be over the hypothesis's universe, and so is the
+    assignment.  Scans row pairs in row order.  When the hypothesis fails
+    in the relation (so the target must hold in it) the first pair on
+    which the hypothesis fails but the target holds is taken; in the
+    opposite case the first pair on which the hypothesis holds but the
+    target fails.  The agreement assignment of that pair disagrees with
+    exactly one of target and hypothesis.  At most ``|r|**2`` membership
+    queries are spent.
 
     Each pair's agreement mask is read once, and the hypothesis side of a
     pair is judged on it: a two-row relation satisfies a proper dependency
@@ -117,9 +119,7 @@ def relation_ce_to_interp(
     only pair and takes its verdict from it, and only a relation of three
     or more rows is checked with the holds-in-relation check.
     """
-    universe = hypothesis.universe
-    if relation.schema.attributes != universe.names:
-        raise UniverseMismatchError("relation schema does not match the hypothesis")
+    universe = _require_same_universe(hypothesis, relation)
     if len(relation) < 2:
         raise OracleContractError(
             "a relation with fewer than two rows cannot be a counterexample"
@@ -139,7 +139,7 @@ def relation_ce_to_interp(
                 # a pair on which the hypothesis agrees with its verdict on
                 # the whole relation, and the target does not
                 if blocks_hold(agree, blocks, full) == hypothesis_holds and bool(
-                    mem_relation(Relation(relation.schema, (rows[i], rows[j])))
+                    mem_relation(Relation(universe, (rows[i], rows[j])))
                 ) != hypothesis_holds:
                     return Interpretation(universe, agree)
     raise OracleContractError(
@@ -148,19 +148,18 @@ def relation_ce_to_interp(
     )
 
 
-def relation_reduction(schema: AttributeSchema) -> ReductionPair:
+def relation_reduction() -> ReductionPair:
     return ReductionPair(
-        f_mem=lambda interp, mem: mem(interp_to_pair(interp, schema)),
+        f_mem=lambda interp, mem: mem(interp_to_pair(interp)),
         f_eq=relation_ce_to_interp,
     )
 
 
 def learn_mvd_from_relations(universe: VariableUniverse, mem_relation, eq_relation,
                              **session_kwargs) -> MvdFormula:
-    """Learn a set of proper dependencies from relation oracles over the
-    schema of ``universe``'s names."""
-    reduction = relation_reduction(AttributeSchema(universe.names))
-    mem, eq = translate_oracles(reduction, mem_relation, eq_relation)
+    """Learn a set of proper dependencies from relation oracles whose
+    relations have ``universe`` as their attributes."""
+    mem, eq = translate_oracles(relation_reduction(), mem_relation, eq_relation)
     return learn(universe, mem, eq, **session_kwargs)
 
 

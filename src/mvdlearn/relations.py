@@ -1,13 +1,15 @@
-"""Database-side semantics: schemas, relations, and dependency checks.
+"""Database-side semantics: relations and dependency checks.
 
-A relation is a set of string-valued rows over an attribute schema.  The
-dependency ``X -> Y | Z`` (sides partitioning the schema) holds in a
-relation when, for any two rows agreeing on X, swapping their Y values
-produces a row that is also present.  Dependencies with an empty side hold
-in every relation, since the swap reproduces an existing row.
+A relation is a set of string-valued rows over a variable universe: its
+attributes are the universe's names, and position i of a row holds the
+value of the attribute with bit index i.  The dependency ``X -> Y | Z``
+(sides partitioning the universe) holds in a relation when, for any two
+rows agreeing on X, swapping their Y values produces a row that is also
+present.  Dependencies with an empty side hold in every relation, since
+the swap reproduces an existing row.
 
-Attribute schemas align positionally with a variable universe so the same
-clause values can be checked against assignments and against data.
+So the same clause values are checked against assignments and against
+data, and a relation meets a clause only over the clause's universe.
 """
 
 from __future__ import annotations
@@ -17,51 +19,33 @@ import functools
 import io
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Interpretation, MvdClause, VariableUniverse, bit_indices
-from .errors import SchemaError, UniverseMismatchError
+from .core import (
+    Interpretation,
+    MvdClause,
+    VariableUniverse,
+    _require_same_universe,
+    bit_indices,
+)
+from .errors import SchemaError
 
 Row = tuple  # one text value per attribute
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
-    """Ordered list of distinct attribute names; values are opaque text."""
-
-    attributes: tuple
-
-    def __init__(self, attributes: Iterable[str]):
-        attributes = tuple(attributes)
-        if not attributes:
-            raise SchemaError("schema needs at least one attribute")
-        if len(set(attributes)) != len(attributes):
-            raise SchemaError("duplicate attribute names in schema")
-        object.__setattr__(self, "attributes", attributes)
-
-    @property
-    def arity(self) -> int:
-        return len(self.attributes)
-
-    def to_universe(self) -> VariableUniverse:
-        """The variable universe positionally aligned with this schema."""
-        return VariableUniverse(self.attributes)
-
-
 class Relation:
-    """A schema plus a duplicate-free row sequence (insertion order kept)."""
+    """Rows over a variable universe: duplicate-free, insertion order kept."""
 
-    __slots__ = ("schema", "rows", "_row_set")
+    __slots__ = ("universe", "rows", "_row_set")
 
-    def __init__(self, schema: AttributeSchema, rows: Iterable[Row] = ()):
-        self.schema = schema
+    def __init__(self, universe: VariableUniverse, rows: Iterable[Row] = ()):
+        self.universe = universe
         deduped = {}
         for i, row in enumerate(rows):
             row = tuple(row)
-            if len(row) != schema.arity:
+            if len(row) != universe.n:
                 raise SchemaError(
-                    f"row has {len(row)} values, schema has {schema.arity}", row=i + 1
+                    f"row has {len(row)} values, schema has {universe.n}", row=i + 1
                 )
             deduped[row] = None
         self.rows = tuple(deduped)
@@ -79,22 +63,15 @@ class Relation:
     def __eq__(self, other):
         return (
             isinstance(other, Relation)
-            and self.schema == other.schema
+            and self.universe == other.universe
             and self._row_set == other._row_set
         )
 
     def __hash__(self):
-        return hash((self.schema, self._row_set))
+        return hash((self.universe, self._row_set))
 
     def __repr__(self):
-        return f"Relation({self.schema.attributes!r}, {len(self.rows)} rows)"
-
-
-def _check_alignment(relation: Relation, clause: MvdClause) -> None:
-    if clause.universe.names != relation.schema.attributes:
-        raise UniverseMismatchError(
-            "dependency universe does not match the relation schema"
-        )
+        return f"Relation({self.universe.names!r}, {len(self.rows)} rows)"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -109,7 +86,7 @@ def _failing_groups(relation: Relation, clause: MvdClause) -> list:
     """Row positions of every X-group that is not the product of its Y- and
     Z-projections (Fagin 1977), in the order of their first rows.
 
-    X, Y and Z partition the schema and rows are distinct, so a group is a
+    X, Y and Z partition the universe and rows are distinct, so a group is a
     subset of its Y-projection times its Z-projection, and it equals that
     product exactly when the sizes match.
     """
@@ -139,7 +116,7 @@ def mvd_holds(relation: Relation, clause: MvdClause) -> bool:
     Empty Y or Z makes every swap reproduce an existing row, so those
     clauses hold trivially.
     """
-    _check_alignment(relation, clause)
+    _require_same_universe(relation, clause)
     if clause.y_mask == 0 or clause.z_mask == 0:
         return True
     return not _failing_groups(relation, clause)
@@ -165,7 +142,7 @@ def find_violating_pair(relation: Relation, clause: MvdClause) -> Optional[tuple
     gives a row the relation lacks.  Only the X-groups that fail the
     product count are searched.
     """
-    _check_alignment(relation, clause)
+    _require_same_universe(relation, clause)
     if clause.y_mask == 0 or clause.z_mask == 0:
         return None
     failing = _failing_groups(relation, clause)
@@ -193,19 +170,17 @@ def agreement_mask(t: Row, t2: Row) -> int:
     return int(bytes(map(operator.eq, t, t2)).translate(_DIGITS)[::-1], 2)
 
 
-def interp_to_pair(interp: Interpretation, schema: AttributeSchema) -> Relation:
-    """Two rows agreeing exactly on the true variables of ``interp``.
+def interp_to_pair(interp: Interpretation) -> Relation:
+    """Two rows over ``interp``'s universe agreeing exactly on its true
+    variables.
 
     Disagreeing columns take the fresh values "0"/"1"; any injective choice
     works.  For a proper dependency the pair fails the dependency exactly
     when the assignment violates the matching clause, and the all-true
     assignment collapses to a single-row relation.
     """
-    if schema.attributes != interp.universe.names:
-        raise UniverseMismatchError("schema does not match the assignment universe")
-    return Relation(schema, (
-        binary_row(0, schema.arity), binary_row(interp.false_mask, schema.arity)
-    ))
+    n = interp.universe.n
+    return Relation(interp.universe, (binary_row(0, n), binary_row(interp.false_mask, n)))
 
 
 def _csv_records(text: str):
@@ -221,8 +196,10 @@ def _csv_records(text: str):
 def read_csv(text: str) -> Relation:
     """Parse CSV text (header row first) into a relation.
 
-    Duplicate rows collapse silently; ragged rows and duplicate header
-    names are rejected with the offending row number.
+    The stripped header names are the relation's universe.  Duplicate rows
+    collapse silently; ragged rows are rejected with their row number, and
+    a header that is not a valid universe (an empty, duplicate or reserved
+    name, or one with inner whitespace) without one.
     """
     records = _csv_records(text)
     try:
@@ -231,14 +208,17 @@ def read_csv(text: str) -> Relation:
         raise SchemaError("empty input, expected a header row") from None
     if not header or any(not name.strip() for name in header):
         raise SchemaError("header row has an empty attribute name")
-    schema = AttributeSchema(tuple(name.strip() for name in header))
+    try:
+        universe = VariableUniverse(name.strip() for name in header)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     rows = []
     for i, row in enumerate(records, start=2):
         if not row:
             continue
-        if len(row) != schema.arity:
+        if len(row) != universe.n:
             raise SchemaError(
-                f"expected {schema.arity} values, found {len(row)}", row=i
+                f"expected {universe.n} values, found {len(row)}", row=i
             )
         rows.append(tuple(row))
-    return Relation(schema, rows)
+    return Relation(universe, rows)

@@ -12,7 +12,6 @@ import time
 import pytest
 
 from mvdlearn import (
-    AttributeSchema,
     Interpretation,
     MvdFormula,
     entails,
@@ -239,12 +238,11 @@ def test_criterion_6_dependencies_from_relations():
     for trial in range(200):
         n = rng.randrange(3, 7)
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         target = MvdFormula(
             u, [random_proper_clause(u, rng) for _ in range(rng.randrange(1, 4))]
         )
         teacher = RelationTeacher(
-            target, schema, "random" if trial % 2 else "exhaustive", seed=trial
+            target, "random" if trial % 2 else "exhaustive", seed=trial
         )
         got = learn_mvd_from_relations(
             u, teacher.membership_answer, teacher.equivalence_answer
@@ -256,11 +254,10 @@ def test_criterion_6_dependencies_from_relations():
     bridge_checks = 0
     for n in range(2, 6):
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         clauses = [c for c in enumerate_mvd_clauses(u) if c.is_proper]
         for mask in enum_masks(n):
             interp = Interpretation(u, mask)
-            pair = interp_to_pair(interp, schema)
+            pair = interp_to_pair(interp)
             for clause in clauses:
                 assert mvd_holds(pair, clause) == (not violates(interp, clause))
                 bridge_checks += 1

@@ -225,6 +225,7 @@ def test_entails_accepts_a_purely_negative_quasi2_clause(tmp_path, capsys):
     ("horn", "1 -> 1", "line 1: consequent must not occur in the antecedent"),
     ("quasi2", "1 -> 2 | 3", "line 1: expected one or two consequent variables"),
     ("quasi2", "1 -> 1 2", "line 1: consequents must be disjoint from the antecedent"),
+    ("quasi2", "1 -> 9", "line 1: unknown variable '9'"),
     ("mvd", "1 1 -> 2 | 3 4", "line 1: variable '1' repeated within a side"),
     ("mvd", "-> 2 | 3 4", "line 1: empty side (use `-` for an empty side)"),
     ("mvd", "1 -> 2 -> 3", "line 1: clause must contain exactly one `->`"),
@@ -262,6 +263,16 @@ def test_check_mvd_command(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("holds:")
+
+
+def test_check_mvd_rejects_a_header_that_is_not_a_universe(tmp_path, capsys):
+    # the header is the relation's universe, read before the dependency
+    csv_file = tmp_path / "data.csv"
+    csv_file.write_text("a b,c\nx,y\n")
+    code, out, err = run_main(
+        capsys, ["check-mvd", "--relation", str(csv_file), "--mvd", "c -> - | -"]
+    )
+    assert (code, out, err) == (2, "", "mvdlearn: bad variable name: 'a b'\n")
 
 
 def test_csv_field_over_the_size_limit_is_invalid_input(tmp_path, capsys):
@@ -311,7 +322,7 @@ def test_clause_script_error_names_its_line_once(tmp_path, capsys):
         ["learn-q", "--target", str(target), "--oracle", "script", "--script", str(script)],
     )
     assert (code, out) == (2, "")
-    assert err == "mvdlearn: line 3: unknown variable: 'zz'\n"
+    assert err == "mvdlearn: line 3: unknown variable 'zz'\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -33,7 +33,6 @@ from mvdlearn.oracles import (
     RelationTeacher,
 )
 from mvdlearn.reductions import quasi2_reduction, relation_reduction, translate_oracles
-from mvdlearn.relations import AttributeSchema
 
 from conftest import numbered_universe, random_target
 from invariant_harness import InvariantObserver
@@ -648,12 +647,11 @@ def test_session_matches_the_reference_session_through_relations():
     rng = random.Random(1996)
     u = numbered_universe(7)
     target = random_target(u, rng, max_clauses=4, allow_degenerate=False)
-    schema = AttributeSchema(u.names)
 
     def make(running):
-        teacher = RelationTeacher(target, schema, "random", 5)
+        teacher = RelationTeacher(target, "random", 5)
         return translate_oracles(
-            relation_reduction(schema), teacher.membership_answer,
+            relation_reduction(), teacher.membership_answer,
             teacher.equivalence_answer,
         )
 
@@ -826,9 +824,9 @@ def _finished_session_universe(kind):
         teacher = MvdfInterpretationTeacher(target, "random", 3)
         mem, eq = teacher.membership_answer, teacher.equivalence_answer
     elif kind == "relations":
-        teacher = RelationTeacher(target, AttributeSchema(universe.names), "random", 3)
+        teacher = RelationTeacher(target, "random", 3)
         mem, eq = translate_oracles(
-            relation_reduction(teacher.schema),
+            relation_reduction(),
             teacher.membership_answer, teacher.equivalence_answer,
         )
     else:

@@ -7,7 +7,6 @@ import pytest
 
 import mvdlearn.oracles
 from mvdlearn import (
-    AttributeSchema,
     HornClause,
     HornFormula,
     Interpretation,
@@ -345,13 +344,12 @@ def test_clause_space_enumerations():
 
 def test_relation_teacher_membership_and_equivalence():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
-    teacher = RelationTeacher(target, schema)
+    teacher = RelationTeacher(target)
 
-    bad = Relation(schema, [("a", "b", "c"), ("a", "b2", "c2")])
+    bad = Relation(u, [("a", "b", "c"), ("a", "b2", "c2")])
     assert not teacher.membership_answer(bad)
-    good = Relation(schema, [("a", "b", "c"), ("a2", "b2", "c2")])
+    good = Relation(u, [("a", "b", "c"), ("a2", "b2", "c2")])
     assert teacher.membership_answer(good)
 
     hypo = MvdFormula(u)
@@ -365,9 +363,8 @@ def test_relation_teacher_random_counterexamples_are_genuine():
     for trial in range(30):
         n = rng.randrange(3, 6)
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         target = MvdFormula(u, [random_proper_clause(u, rng) for _ in range(2)])
-        teacher = RelationTeacher(target, schema, "random", seed=trial)
+        teacher = RelationTeacher(target, "random", seed=trial)
         hypo = MvdFormula(u)
         if equivalent(hypo, target):
             continue
@@ -377,27 +374,24 @@ def test_relation_teacher_random_counterexamples_are_genuine():
 
 def test_relation_teacher_rejects_improper_target():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     improper = parse_formula("vars: 1 2 3\n1 2 -> 3 | -\n", "mvd")
     with pytest.raises(ValueError, match="proper"):
-        RelationTeacher(improper, schema)
+        RelationTeacher(improper)
 
 
 def test_relation_teacher_scripted_validation():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
-    harmless = Relation(schema, [("a", "b", "c")])
-    teacher = RelationTeacher(target, schema, "scripted", script=[harmless])
+    harmless = Relation(u, [("a", "b", "c")])
+    teacher = RelationTeacher(target, "scripted", script=[harmless])
     with pytest.raises(OracleContractError, match="not a counterexample"):
         teacher.equivalence_answer(MvdFormula(u))
 
 
-def _binary_relation(schema, masks):
+def _binary_relation(universe, masks):
     """The "0"/"1" relation whose rows are the int masks, in order."""
-    arity = schema.arity
-    return Relation(schema, [
-        tuple("1" if m >> i & 1 else "0" for i in range(arity)) for m in masks
+    return Relation(universe, [
+        tuple("1" if m >> i & 1 else "0" for i in range(universe.n)) for m in masks
     ])
 
 
@@ -423,13 +417,12 @@ def test_relation_teacher_random_answers_are_the_pairs_of_the_differing_assignme
     answered = 0
     for n in range(2, 6):
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         for _ in range(8):
             target = random_target(u, rng, allow_degenerate=False)
             hypothesis = _relation_hypothesis(u, rng)
             differing = _proper_models(target) ^ _proper_models(hypothesis)
             count = differing.bit_count()
-            teacher = RelationTeacher(target, schema, "random")
+            teacher = RelationTeacher(target, "random")
             answers = []
             for rank in range(count):
                 teacher._rng = _FixedDraw(rank)
@@ -437,11 +430,11 @@ def test_relation_teacher_random_answers_are_the_pairs_of_the_differing_assignme
                 assert teacher._rng.bounds == [count]
                 assert teacher.holds(answer, target) != teacher.holds(answer, hypothesis)
                 assert answer == interp_to_pair(
-                    Interpretation(u, canonical_select(differing, u, rank)), schema
+                    Interpretation(u, canonical_select(differing, u, rank))
                 )
                 answers.append(answer.rows)
             assert answers == [
-                interp_to_pair(Interpretation(u, x), schema).rows
+                interp_to_pair(Interpretation(u, x)).rows
                 for x in enum_masks(n) if differing >> x & 1
             ]
             assert len(set(answers)) == count
@@ -458,17 +451,16 @@ def test_relation_teacher_random_answer_is_the_assignment_teachers_pair():
     answered = 0
     for n in range(3, 10):
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         for seed in range(6):
             target = random_target(u, rng, allow_degenerate=False)
-            relations = RelationTeacher(target, schema, "random", seed)
+            relations = RelationTeacher(target, "random", seed)
             assignments = MvdfInterpretationTeacher(target, "random", seed)
             wider = MvdFormula(u, [*target.clauses, random_wide_empty_side_clause(u, rng)])
             for hypothesis in (MvdFormula(u), _relation_hypothesis(u, rng), target, wider):
                 proper = MvdFormula(u, [c for c in hypothesis.clauses if c.is_proper])
                 answer = relations.equivalence_answer(hypothesis)
                 witness = assignments.equivalence_answer(proper)
-                assert answer == (witness and interp_to_pair(witness, schema))
+                assert answer == (witness and interp_to_pair(witness))
                 assert (answer is None) == (_proper_models(hypothesis) == model_bitset(target))
                 answered += answer is not None
             assert answer is None  # for the wider hypothesis
@@ -480,20 +472,19 @@ def test_relation_teacher_small_membership_matches_holds():
     rng = random.Random(5)
     for n in range(2, 5):
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         for _ in range(4):
-            teacher = RelationTeacher(random_target(u, rng, allow_degenerate=False), schema)
+            teacher = RelationTeacher(random_target(u, rng, allow_degenerate=False))
             for a in range(1 << n):
                 for b in range(1 << n):
-                    example = _binary_relation(schema, (a, b))
+                    example = _binary_relation(u, (a, b))
                     assert teacher.membership_answer(example) == teacher.holds(
                         example, teacher.target
                     )
-            assert teacher.membership_answer(Relation(schema))
+            assert teacher.membership_answer(Relation(u))
             # larger relations keep the relation check
             for _ in range(20):
                 rows = [rng.getrandbits(n) for _ in range(rng.randint(3, 5))]
-                example = _binary_relation(schema, rows)
+                example = _binary_relation(u, rows)
                 assert teacher.membership_answer(example) == teacher.holds(
                     example, teacher.target
                 )
@@ -507,13 +498,12 @@ def test_relation_teacher_two_row_membership_on_text_values():
     alphabet = ["0", "1", "10", "100", "01", "", "x"]
     for n in range(2, 6):
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         for _ in range(4):
-            teacher = RelationTeacher(random_target(u, rng, allow_degenerate=False), schema)
+            teacher = RelationTeacher(random_target(u, rng, allow_degenerate=False))
             for _ in range(60):
                 size = rng.randrange(3, len(alphabet) + 1)
                 values = alphabet[:size]
-                example = Relation(schema, [
+                example = Relation(u, [
                     tuple(rng.choice(values) for _ in range(n)) for _ in range(2)
                 ])
                 assert teacher.membership_answer(example) == teacher.holds(
@@ -534,11 +524,9 @@ def test_teachers_reject_a_hypothesis_over_another_universe(examples, strategy):
             target, strategy, seed=1, script=script if strategy == "scripted" else None
         )
     else:
-        schema = AttributeSchema(u.names)
-        script = [Relation(schema, [("a", "b", "c"), ("a", "d", "e")])]
+        script = [Relation(u, [("a", "b", "c"), ("a", "d", "e")])]
         teacher = RelationTeacher(
-            target, schema, strategy, seed=1,
-            script=script if strategy == "scripted" else None,
+            target, strategy, seed=1, script=script if strategy == "scripted" else None
         )
     with pytest.raises(UniverseMismatchError):
         teacher.equivalence_answer(hypothesis)
@@ -547,7 +535,7 @@ def test_teachers_reject_a_hypothesis_over_another_universe(examples, strategy):
 def test_random_relation_teacher_rejects_a_foreign_hypothesis():
     u = numbered_universe(3)
     target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
-    teacher = RelationTeacher(target, AttributeSchema(u.names), "random", seed=1)
+    teacher = RelationTeacher(target, "random", seed=1)
     other = VariableUniverse(["a", "b", "c"])
     hypothesis = MvdFormula(other, [parse_clause("b -> a | c", other)])
     with pytest.raises(UniverseMismatchError):
@@ -569,23 +557,22 @@ def test_teachers_reject_a_bad_strategy_or_script(examples, strategy, script, me
         elif examples == "horn":
             EntailmentTeacher(target, "horn", strategy, script=script)
         else:
-            RelationTeacher(target, AttributeSchema(u.names), strategy, script=script)
+            RelationTeacher(target, strategy, script=script)
 
 
 def test_membership_over_another_universe_is_rejected():
     u = numbered_universe(3)
     target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
     other = VariableUniverse(["a", "b", "c"])
-    foreign_schema = AttributeSchema(other.names)
     asked = [
         (MvdfInterpretationTeacher(target), Interpretation.from_bits(other, "100")),
         (EntailmentTeacher(target, "horn"), HornClause(other, 0b001, 1)),
         (EntailmentTeacher(target, "quasi2"), parse_clause("a -> b c", other, "quasi2")),
-        (RelationTeacher(target, AttributeSchema(u.names)),
-         Relation(foreign_schema, [("x", "y", "z"), ("x", "w", "v")])),
+        (RelationTeacher(target),
+         Relation(other, [("x", "y", "z"), ("x", "w", "v")])),
     ]
     for teacher, example in asked:
-        with pytest.raises(UniverseMismatchError):
+        with pytest.raises(UniverseMismatchError, match="over the wrong universe"):
             teacher.membership_answer(example)
         assert teacher.stats["membership_queries"] == 0
 
@@ -601,8 +588,8 @@ def test_scripted_entry_over_another_universe_is_rejected(examples):
         teacher = MvdfInterpretationTeacher(target, "scripted", script=[entry])
     elif examples == "relations":
         target = MvdFormula(u, [parse_clause("a -> b | c", u)])
-        entry = Relation(AttributeSchema(other.names), [("0", "0", "0"), ("0", "1", "1")])
-        teacher = RelationTeacher(target, AttributeSchema(u.names), "scripted", script=[entry])
+        entry = Relation(other, [("0", "0", "0"), ("0", "1", "1")])
+        teacher = RelationTeacher(target, "scripted", script=[entry])
     else:
         target = parse_formula("vars: a b c\na -> b\n", "horn")
         entry = parse_clause("x -> y", other, examples)
@@ -618,7 +605,7 @@ def test_relation_teacher_ignores_one_sided_clauses(extra, strategy):
     u = VariableUniverse(["a", "b", "c", "d"])
     target = MvdFormula(u, [parse_clause("a -> b | c d", u)])
     hypothesis = MvdFormula(u, [*target.clauses, parse_clause(extra, u)])
-    teacher = RelationTeacher(target, AttributeSchema(u.names), strategy, seed=1,
+    teacher = RelationTeacher(target, strategy, seed=1,
                               script=[] if strategy == "scripted" else None)
     assert teacher.equivalence_answer(hypothesis) is None
 
@@ -682,22 +669,21 @@ def test_relation_membership_and_scripted_entries_match_holds():
     verdicts = set()
     for target, hypotheses, space in _differential_cases("assignments", rng):
         u = target.universe
-        schema = AttributeSchema(u.names)
         pairs = [(a, b) for a in range(1 << u.n) for b in range(a + 1, 1 << u.n)]
-        relations = [_binary_relation(schema, rows) for rows in pairs] + [
-            _binary_relation(schema, rng.sample(range(1 << u.n), 3)) for _ in range(20)
+        relations = [_binary_relation(u, rows) for rows in pairs] + [
+            _binary_relation(u, rng.sample(range(1 << u.n), 3)) for _ in range(20)
         ]
 
         def plain(relation, formula):
             return all(mvd_holds(relation, c) for c in formula.clauses if c.is_proper)
 
-        teacher = RelationTeacher(target, schema)
+        teacher = RelationTeacher(target)
         for relation in relations:
             assert teacher.membership_answer(relation) == plain(relation, target)
         for hypothesis in hypotheses:
             for relation in relations:
                 separates = plain(relation, target) != plain(relation, hypothesis)
-                scripted = RelationTeacher(target, schema, "scripted", script=[relation])
+                scripted = RelationTeacher(target, "scripted", script=[relation])
                 try:
                     released = scripted.equivalence_answer(hypothesis) is relation
                 except OracleContractError:
@@ -737,6 +723,7 @@ def test_parse_relation_script():
     ("A,B\n1,2\n---\n\nA,B\n3,4\n5\n", 7, "expected 2 values, found 1"),
     ("A,B\n1,2\n---\nA,,C\n3,4,5\n", 4, "header row has an empty attribute name"),
     ("\n\nA,B\n1,2,3\n", 4, "expected 2 values, found 3"),
+    ("A,B\n1,2\n---\n\nA, B ,A\n3,4,5\n", 5, "duplicate variable name: 'A'"),
 ])
 def test_relation_script_errors_name_the_file_line(text, line, message):
     with pytest.raises(SchemaError) as err:
@@ -757,7 +744,7 @@ def _record_run(target, make_teacher, strategy, seed):
 
     mem = teacher.membership_answer
     if isinstance(teacher, RelationTeacher):
-        mem, eq = translate_oracles(relation_reduction(teacher.schema), mem, eq)
+        mem, eq = translate_oracles(relation_reduction(), mem, eq)
     elif isinstance(teacher, EntailmentTeacher):
         reduction = horn_entailment_reduction if teacher.kind == "horn" else quasi2_reduction
         mem, eq = translate_oracles(reduction(), mem, eq)
@@ -769,9 +756,7 @@ def _record_run(target, make_teacher, strategy, seed):
 @pytest.mark.parametrize("strategy", ["exhaustive", "random"])
 @pytest.mark.parametrize("make_teacher", [
     lambda target, strategy, seed: MvdfInterpretationTeacher(target, strategy, seed),
-    lambda target, strategy, seed: RelationTeacher(
-        target, AttributeSchema(target.universe.names), strategy, seed
-    ),
+    lambda target, strategy, seed: RelationTeacher(target, strategy, seed),
 ], ids=["interpretations", "relations"])
 def test_whole_runs_match_the_reference_witness_scan(make_teacher, strategy, monkeypatch):
     rng = random.Random(10)

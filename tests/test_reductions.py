@@ -6,7 +6,6 @@ import random
 import pytest
 
 from mvdlearn import (
-    AttributeSchema,
     ConversionError,
     EnumerationCapError,
     HornClause,
@@ -17,6 +16,7 @@ from mvdlearn import (
     OracleContractError,
     QuasiHorn2Clause,
     Relation,
+    UniverseMismatchError,
     VariableUniverse,
     entails,
     equivalent,
@@ -84,26 +84,24 @@ def relation_oracle(target):
 
 def test_interp_to_pair_structure():
     u = numbered_universe(5)
-    schema = AttributeSchema(u.names)
     interp = Interpretation.from_bits(u, "01100")
-    pair = interp_to_pair(interp, schema)
+    pair = interp_to_pair(interp)
     assert len(pair) == 2
     t, t2 = pair.rows
     for i in range(5):
         assert (t[i] == t2[i]) == bool(interp.mask >> i & 1)
 
     all_true = Interpretation(u, u.full_mask)
-    assert len(interp_to_pair(all_true, schema)) == 1
+    assert len(interp_to_pair(all_true)) == 1
 
 
 def test_agreement_round_trip():
     rng = random.Random(3)
     u = numbered_universe(5)
-    schema = AttributeSchema(u.names)
 
     for _ in range(40):
         interp = Interpretation(u, rng.getrandbits(5))
-        pair = interp_to_pair(interp, schema)
+        pair = interp_to_pair(interp)
         rows = pair.rows
         if len(rows) == 1:
             assert interp.mask == u.full_mask
@@ -113,23 +111,21 @@ def test_agreement_round_trip():
 
 def test_relation_ce_round_trip():
     u = numbered_universe(4)
-    schema = AttributeSchema(u.names)
     target = MvdFormula(u, [parse_clause("1 -> 2 | 3 4", u)])
     hypo = MvdFormula(u, [parse_clause("1 -> 3 | 2 4", u)])
     interp = find_counterexample(target, hypo)
-    pair = interp_to_pair(interp, schema)
+    pair = interp_to_pair(interp)
     got = relation_ce_to_interp(pair, hypo, relation_oracle(target))
     assert got == interp
 
 
 def test_relation_ce_multi_row():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     target = MvdFormula(u, [parse_clause("1 -> 2 | 3", u)])
     hypo = MvdFormula(u, [parse_clause("2 -> 1 | 3", u)])
     # holds for the target, fails for the hypothesis
     rel = Relation(
-        schema,
+        u,
         [
             ("a", "b", "c"),
             ("a", "b", "c2"),
@@ -144,11 +140,18 @@ def test_relation_ce_multi_row():
 
 def test_relation_ce_single_row_aborts():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     hypo = MvdFormula(u)
-    single = Relation(schema, [("a", "b", "c")])
+    single = Relation(u, [("a", "b", "c")])
     with pytest.raises(OracleContractError, match="fewer than two rows"):
         relation_ce_to_interp(single, hypo, relation_oracle(hypo))
+
+
+def test_relation_ce_over_another_universe_is_rejected():
+    u = numbered_universe(3)
+    hypo = MvdFormula(u)
+    foreign = Relation(VariableUniverse("abc"), [("a", "b", "c"), ("a", "d", "e")])
+    with pytest.raises(UniverseMismatchError, match="values over different universes"):
+        relation_ce_to_interp(foreign, hypo, relation_oracle(hypo))
 
 
 def _reference_relation_ce_to_interp(relation, hypothesis, mem_relation):
@@ -163,7 +166,7 @@ def _reference_relation_ce_to_interp(relation, hypothesis, mem_relation):
     rows = relation.rows
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            pair = Relation(relation.schema, (rows[i], rows[j]))
+            pair = Relation(relation.universe, (rows[i], rows[j]))
             pair_hypo = all(mvd_holds(pair, c) for c in hypothesis.clauses)
             if hypothesis_holds:
                 if pair_hypo and not mem_relation(pair):
@@ -183,7 +186,7 @@ def _recorded_run(extract, relation, hypothesis, target):
     asked = []
 
     def mem(rel):
-        asked.append((rel.schema, rel.rows))
+        asked.append((rel.universe, rel.rows))
         return all(mvd_holds(rel, c) for c in target.clauses)
 
     try:
@@ -199,7 +202,6 @@ def test_relation_ce_matches_the_reference_pair_scan():
     for _ in range(400):
         n = rng.randrange(3, 7)
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         target = random_target(u, rng, max_clauses=3, allow_degenerate=False)
         clauses = [random_proper_clause(u, rng) for _ in range(rng.randrange(0, 3))]
         # the degenerate clauses a learner's h0 starts with
@@ -213,7 +215,7 @@ def test_relation_ce_matches_the_reference_pair_scan():
             clauses.append(random_wide_empty_side_clause(u, rng))
         hypothesis = MvdFormula(u, clauses)
         alphabet = rng.randrange(2, 4)
-        relation = Relation(schema, [
+        relation = Relation(u, [
             tuple(str(rng.randrange(alphabet)) for _ in range(n))
             for _ in range(rng.randrange(2, 9))
         ])
@@ -406,7 +408,6 @@ def test_reductions_and_extractions_take_the_enumeration_cap():
     default = numbered_universe(4)
     horn_target = HornFormula(default, [HornClause(default, 0b0001, 1)])
     mvd_target = MvdFormula(default, [parse_clause("1 -> 2 | 3 4", default)])
-    schema = AttributeSchema(default.names)
 
     def oracles(teacher):
         return teacher.membership_answer, teacher.equivalence_answer
@@ -435,7 +436,7 @@ def test_reductions_and_extractions_take_the_enumeration_cap():
             lambda: learn_mvdf_from_quasi2(
                 u, *oracles(EntailmentTeacher(mvd_target, "quasi2"))
             ),
-            lambda: learn_mvd_from_relations(u, *oracles(RelationTeacher(mvd_target, schema))),
+            lambda: learn_mvd_from_relations(u, *oracles(RelationTeacher(mvd_target))),
         ]
 
     capped, enough = (VariableUniverse(default.names, cap=cap) for cap in (3, 4))
@@ -963,9 +964,8 @@ def test_membership_transforms_agree_with_destination_membership():
             interp, quasi_target
         )
 
-        schema = AttributeSchema(u.names)
         proper_target = MvdFormula(u, [random_proper_clause(u, rng) for _ in range(2)])
-        answer = relation_oracle(proper_target)(interp_to_pair(interp, schema))
+        answer = relation_oracle(proper_target)(interp_to_pair(interp))
         assert answer == satisfies(interp, proper_target)
 
 
@@ -993,10 +993,9 @@ def test_learn_mvd_from_relations_smoke():
     for trial in range(25):
         n = rng.randrange(3, 7)
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         target = MvdFormula(u, [random_proper_clause(u, rng) for _ in range(2)])
         teacher = RelationTeacher(
-            target, schema, "random" if trial % 2 else "exhaustive", seed=trial
+            target, "random" if trial % 2 else "exhaustive", seed=trial
         )
         got = learn_mvd_from_relations(
             u, teacher.membership_answer, teacher.equivalence_answer
@@ -1037,9 +1036,8 @@ def test_learn_mvdf_from_quasi2_smoke():
 
 def test_empty_targets_learn_to_empty():
     u = numbered_universe(4)
-    schema = AttributeSchema(u.names)
     empty_mvdf = MvdFormula(u)
-    teacher = RelationTeacher(empty_mvdf, schema)
+    teacher = RelationTeacher(empty_mvdf)
     got = learn_mvd_from_relations(
         u, teacher.membership_answer, teacher.equivalence_answer
     )

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from mvdlearn import (
-    AttributeSchema,
     Interpretation,
     Relation,
     SchemaError,
     UniverseMismatchError,
+    VariableUniverse,
     find_violating_pair,
     interp_to_pair,
     mvd_holds,
@@ -29,7 +29,7 @@ from reference import agreement_interp, enum_masks
 def holds_direct(relation, clause):
     """Independent holds-in-relation check: all ordered pairs, by names."""
     u = clause.universe
-    attrs = relation.schema.attributes
+    attrs = relation.universe.names
     x = set(u.names_of(clause.x_mask))
     y = set(u.names_of(clause.y_mask))
     if not y or not clause.z_mask:
@@ -48,23 +48,21 @@ def holds_direct(relation, clause):
 
 def test_single_row_relation_satisfies_everything():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
-    r = Relation(schema, [("a", "b", "c")])
+    r = Relation(u, [("a", "b", "c")])
     rng = random.Random(1)
     for _ in range(20):
         assert mvd_holds(r, random_proper_clause(u, rng))
 
 
 def test_two_row_violation_and_pair():
-    u = VariableUniverse = numbered_universe(3)
-    schema = AttributeSchema(u.names)
-    r = Relation(schema, [("a", "b", "c"), ("a", "b2", "c2")])
+    u = numbered_universe(3)
+    r = Relation(u, [("a", "b", "c"), ("a", "b2", "c2")])
     clause = parse_clause("1 -> 2 | 3", u)
     assert not mvd_holds(r, clause)
     assert find_violating_pair(r, clause) == (("a", "b", "c"), ("a", "b2", "c2"))
     # adding both swapped rows repairs it
     repaired = Relation(
-        schema,
+        u,
         [("a", "b", "c"), ("a", "b2", "c2"), ("a", "b2", "c"), ("a", "b", "c2")],
     )
     assert mvd_holds(repaired, clause)
@@ -73,8 +71,7 @@ def test_two_row_violation_and_pair():
 
 def test_empty_side_clause_holds_everywhere():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
-    r = Relation(schema, [("a", "b", "c"), ("x", "y", "z")])
+    r = Relation(u, [("a", "b", "c"), ("x", "y", "z")])
     assert mvd_holds(r, parse_clause("1 2 -> 3 | -", u))
     assert mvd_holds(r, parse_clause("* -> F", u))
 
@@ -84,12 +81,11 @@ def test_mvd_holds_cross_checked_against_direct_definition():
     for _ in range(150):
         n = rng.randrange(2, 5)
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         rows = [
             tuple(str(rng.randrange(2)) for _ in range(n))
             for _ in range(rng.randrange(1, 6))
         ]
-        r = Relation(schema, rows)
+        r = Relation(u, rows)
         clause = random_proper_clause(u, rng)
         assert mvd_holds(r, clause) == holds_direct(r, clause)
         assert (find_violating_pair(r, clause) is None) == mvd_holds(r, clause)
@@ -97,17 +93,15 @@ def test_mvd_holds_cross_checked_against_direct_definition():
 
 def test_mvd_holds_invariant_under_row_order_and_duplicates():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     rows = [("a", "b", "c"), ("a", "b2", "c2"), ("d", "e", "f")]
     clause = parse_clause("1 -> 2 | 3", u)
-    base = mvd_holds(Relation(schema, rows), clause)
-    assert mvd_holds(Relation(schema, rows[::-1]), clause) == base
-    assert mvd_holds(Relation(schema, rows + rows), clause) == base
+    base = mvd_holds(Relation(u, rows), clause)
+    assert mvd_holds(Relation(u, rows[::-1]), clause) == base
+    assert mvd_holds(Relation(u, rows + rows), clause) == base
 
 
 def test_find_violating_pair_returns_first_in_row_order():
     u = numbered_universe(3)
-    schema = AttributeSchema(u.names)
     # rows 1 and 3 (0-based 1, 3) share an X value and violate; the earlier
     # X-group ("a") is repaired by including the swaps
     rows = [
@@ -118,7 +112,7 @@ def test_find_violating_pair_returns_first_in_row_order():
         ("a", "b", "c3"),
     ]
     clause = parse_clause("1 -> 2 | 3", u)
-    assert find_violating_pair(Relation(schema, rows), clause) == (
+    assert find_violating_pair(Relation(u, rows), clause) == (
         ("g", "h", "i"),
         ("g", "h2", "i2"),
     )
@@ -158,7 +152,7 @@ def test_violating_pair_matches_the_reference_search_on_every_clause():
             tuple(str(rng.randrange(values[c])) for c in range(n))
             for _ in range(rng.randrange(1, 41))
         ]
-        r = Relation(AttributeSchema(u.names), rows)
+        r = Relation(u, rows)
         for clause in enumerate_mvd_clauses(u):
             expected = _reference_violating_pair(r, clause)
             assert find_violating_pair(r, clause) == expected, (rows, clause)
@@ -186,11 +180,11 @@ def test_earliest_pair_can_sit_in_a_later_group():
         ("a", "b2", "c"),
         ("a", "b", "c2"),
     ]
-    r = Relation(AttributeSchema(u.names), rows)
+    r = Relation(u, rows)
     clause = parse_clause("1 -> 2 | 3", u)
     assert find_violating_pair(r, clause) == (rows[1], rows[2])
     assert _reference_violating_pair(r, clause) == (rows[1], rows[2])
-    without_g = Relation(r.schema, [rows[0], rows[3], rows[4]])
+    without_g = Relation(r.universe, [rows[0], rows[3], rows[4]])
     assert find_violating_pair(without_g, clause) == (rows[3], rows[4])
 
 
@@ -207,14 +201,14 @@ def test_large_product_relation(tmp_path, capsys):
     assert len(rows) == 12800
     dropped = ("a7", "b7'", "c7'")
     violated_rows = [row for row in rows if row != dropped]
-    schema = AttributeSchema(("A", "B", "C"))
-    clause = parse_clause("A -> B | C", schema.to_universe())
+    u = VariableUniverse(("A", "B", "C"))
+    clause = parse_clause("A -> B | C", u)
     expected_pair = (("a7", "b7", "c7'"), ("a7", "b7'", "c7"))
 
-    holding = Relation(schema, rows)
+    holding = Relation(u, rows)
     assert mvd_holds(holding, clause)
     assert find_violating_pair(holding, clause) is None
-    violated = Relation(schema, violated_rows)
+    violated = Relation(u, violated_rows)
     assert not mvd_holds(violated, clause)
     assert find_violating_pair(violated, clause) == expected_pair
 
@@ -254,15 +248,16 @@ def test_agreement_mask_matches_agreement_interp_on_text_values():
 
 def test_schema_alignment_enforced():
     u = numbered_universe(3)
-    other = AttributeSchema(("A", "B", "C"))
+    other = VariableUniverse(("A", "B", "C"))
     r = Relation(other, [("a", "b", "c")])
-    with pytest.raises(UniverseMismatchError):
-        mvd_holds(r, parse_clause("1 -> 2 | 3", u))
+    for check in (mvd_holds, find_violating_pair):
+        with pytest.raises(UniverseMismatchError, match="values over different universes"):
+            check(r, parse_clause("1 -> 2 | 3", u))
 
 
 def test_read_csv():
     r = read_csv("NAME,BOOK,PET\nAlice,Hamlet,Dog\n")
-    assert r.schema.attributes == ("NAME", "BOOK", "PET")
+    assert r.universe.names == ("NAME", "BOOK", "PET")
     assert r.rows == (("Alice", "Hamlet", "Dog"),)
 
     header_only = read_csv("A,B\n")
@@ -278,8 +273,16 @@ def test_read_csv():
 def test_read_csv_errors():
     with pytest.raises(SchemaError):
         read_csv("")
-    with pytest.raises(SchemaError):
-        read_csv("A,A\n1,2\n")
+    # the header is the relation's universe, and its names must be valid
+    # variable names; such faults carry no row number
+    for header, message in (
+        ("A,A", "duplicate variable name: 'A'"),
+        ("A,F", "variable name 'F' is a reserved token"),
+        ("a b,c", "bad variable name: 'a b'"),
+    ):
+        with pytest.raises(SchemaError) as err:
+            read_csv(f"{header}\n1,2\n")
+        assert (str(err.value), err.value.row) == (message, None)
     with pytest.raises(SchemaError, match="row 3"):
         read_csv("A,B\n1,2\n1\n")
     # a field over the csv module's size limit is a schema error, not a crash
@@ -293,13 +296,12 @@ def test_pair_bridge_identity_exhaustive():
     # for every assignment and every proper clause, universes up to 5
     for n in range(2, 6):
         u = numbered_universe(n)
-        schema = AttributeSchema(u.names)
         clauses = []
         rng = random.Random(n)
         for _ in range(40):
             clauses.append(random_proper_clause(u, rng))
         for mask in enum_masks(n):
             interp = Interpretation(u, mask)
-            pair = interp_to_pair(interp, schema)
+            pair = interp_to_pair(interp)
             for clause in clauses:
                 assert mvd_holds(pair, clause) == (not violates(interp, clause))
