@@ -125,7 +125,8 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("learn-mvd", help="learn dependencies from data relations")
     p.add_argument("--target", required=True,
-                   help="target dependency file (proper clauses over the schema)")
+                   help="target dependency file "
+                        "(proper clauses over the relation's attributes)")
     _add_oracle_args(p)
 
     p = commands.add_parser("learn-horn", help="learn a Horn formula")

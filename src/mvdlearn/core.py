@@ -147,10 +147,13 @@ class VariableUniverse:
         """Bitset marking every assignment whose true-set contains ``mask``."""
         if not mask:
             return (1 << (1 << self.n)) - 1
-        bits = bit_indices(mask)
-        pat = self.var_pattern(next(bits))
-        for bit in bits:
-            pat &= self.var_pattern(bit)
+        low = mask & -mask
+        pat = self.var_pattern(low.bit_length() - 1)
+        mask ^= low
+        while mask:
+            low = mask & -mask
+            pat &= self.var_pattern(low.bit_length() - 1)
+            mask ^= low
         return pat
 
 
@@ -448,14 +451,16 @@ class MvdFormula(_BaseFormula):
 
     The formula holds the clauses it was built from, or the blocks of
     :meth:`from_blocks`, and builds the other form on first read: each
-    clause's block is :func:`clause_block`.
+    clause's block is :func:`clause_block`.  Its proper blocks are also
+    built on first read.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_blocks", "_proper_blocks")
 
     def __init__(self, universe: VariableUniverse, clauses: Iterable = ()):
         super().__init__(universe, clauses)
         self._blocks = None
+        self._proper_blocks = None
 
     @classmethod
     def from_blocks(cls, universe: VariableUniverse, blocks: Iterable) -> "MvdFormula":
@@ -494,7 +499,11 @@ class MvdFormula(_BaseFormula):
     def proper_blocks(self) -> tuple:
         """The proper part: the blocks of two or more parts.  The clauses
         with an empty side are left out."""
-        return tuple(block for block in self.blocks if len(block[1]) > 1)
+        if self._proper_blocks is None:
+            self._proper_blocks = tuple(
+                block for block in self.blocks if len(block[1]) > 1
+            )
+        return self._proper_blocks
 
     def __repr__(self):
         body = ", ".join(format_clause(c) for c in self.clauses)
@@ -888,6 +897,26 @@ def parse_formula(text: str, kind: str = "mvd", cap: int = DEFAULT_ENUM_CAP):
     return MvdFormula(universe, clauses)
 
 
+def _side_text(universe: VariableUniverse, mask: int) -> str:
+    if mask == 0:
+        return "-"
+    if mask == universe.full_mask:
+        return "*"
+    return " ".join(universe.names_of(mask))
+
+
+def _mvd_line(universe: VariableUniverse, x: int, y: int, z: int) -> str:
+    """The text of ``x -> y | z``: ``* -> F`` when both sides are empty,
+    otherwise with the side holding the smallest variable index (or the
+    only non-empty side) on the left."""
+    if not y | z:
+        return "* -> F"
+    low = (y | z) & -(y | z)
+    if not y & low:
+        y, z = z, y
+    return f"{_side_text(universe, x)} -> {_side_text(universe, y)} | {_side_text(universe, z)}"
+
+
 def format_clause(clause) -> str:
     """Render one clause in the file grammar.
 
@@ -896,45 +925,36 @@ def format_clause(clause) -> str:
     collapsed when a whole formula is rendered.
     """
     universe = clause.universe
-
-    def side(mask):
-        if mask == 0:
-            return "-"
-        if mask == universe.full_mask:
-            return "*"
-        return " ".join(universe.names_of(mask))
-
     if isinstance(clause, MvdClause):
-        if clause.is_false_clause:
-            return "* -> F"
-        y, z = clause.y_mask, clause.z_mask
-        if y and z:
-            low_y = next(bit_indices(y))
-            low_z = next(bit_indices(z))
-            if low_z < low_y:
-                y, z = z, y
-        return f"{side(clause.x_mask)} -> {side(y)} | {side(z)}"
+        return _mvd_line(universe, clause.x_mask, clause.y_mask, clause.z_mask)
     if isinstance(clause, (HornClause, QuasiHorn2Clause)):
         names = " ".join(universe.names_of(clause.consequent_mask)) or "F"
-        return f"{side(clause.antecedent)} -> {names}"
+        return f"{_side_text(universe, clause.antecedent)} -> {names}"
     raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
 
 
 def format_formula(formula) -> str:
     """Render a formula in the file grammar, one clause per line.
 
-    Orientation twins collapse to a single displayed clause; clause order
-    follows first appearance, so rendering is deterministic.
+    An :class:`MvdFormula` is printed from its blocks, with no clause
+    values built: each block ``(x, parts)`` stands for ``x -> y | F\\y``
+    per part y (``* -> F`` for ``(V, ())``).  Orientation twins collapse
+    to a single displayed clause; clause order follows first appearance,
+    so rendering is deterministic.
     """
-    lines = [f"vars: {' '.join(formula.universe.names)}"]
+    universe = formula.universe
+    lines = [f"vars: {' '.join(universe.names)}"]
     if isinstance(formula, MvdFormula):
+        full = universe.full_mask
         seen = set()
-        for clause in formula.clauses:
-            key = clause.orientation_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(format_clause(clause))
+        for x, parts in formula.blocks:
+            rest = full ^ x
+            for y in parts or (0,):
+                z = rest ^ y
+                key = (x, y, z) if y < z else (x, z, y)
+                if key not in seen:
+                    seen.add(key)
+                    lines.append(_mvd_line(universe, x, y, z))
     else:
         for clause in formula.clauses:
             lines.append(format_clause(clause))

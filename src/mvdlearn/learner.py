@@ -114,10 +114,13 @@ class LearnerSession:
     """One run of the learner against a fixed pair of oracles.
 
     The session keeps the stored examples, the evolving hypothesis, query
-    counters and a per-iteration trace.  An observer callable, when given,
-    receives the session and an :class:`IterationEvent` after every
-    iteration, with the hypothesis already rebuilt; the test harness uses
-    this hook to assert the loop invariants.
+    counters and a per-iteration trace.  Each iteration stores its trace
+    values as a tuple of ints; :attr:`trace` builds the
+    :class:`TraceRecord` values from them when it is read and keeps them.
+    An observer callable, when given, receives the session and an
+    :class:`IterationEvent` after every iteration, with the hypothesis
+    already rebuilt and the iteration's record built; the test harness
+    uses this hook to assert the loop invariants.
 
     Internally the session works on masks.  Each stored negative's block is
     kept as the list of its Y-parts (the clause of part ``y`` is
@@ -156,7 +159,10 @@ class LearnerSession:
         self.replacements: list[int] = []  # per live negative slot
         self.h0: Optional[MvdFormula] = None
         self.hypothesis: Optional[MvdFormula] = None
-        self.trace: list[TraceRecord] = []
+        # per iteration: (iteration, event, raw mask, removed, P, L, H, mem,
+        # eq, the stored negatives' false-variable total)
+        self._records: list[tuple] = []
+        self._trace: list[TraceRecord] = []
         self.iteration = 0
         self.event_counts = {"positive": 0, "append": 0, "replace": 0}
         self.removal_count = 0
@@ -264,33 +270,49 @@ class LearnerSession:
             n_bound = self.universe.n * self.universe.n * self._max_hypothesis_classes
         return n_bound * n_bound + n_bound
 
+    @property
+    def trace(self) -> list[TraceRecord]:
+        """The per-iteration trace records, built from the stored values on
+        first read."""
+        trace = self._trace
+        trace.extend(map(self._trace_record, self._records[len(trace):]))
+        return trace
+
+    def _trace_record(self, values: tuple) -> TraceRecord:
+        iteration, event, mask, removed, p, l, h, mem, eq, spent = values
+        return TraceRecord(
+            iteration=iteration,
+            event=event,
+            counterexample=Interpretation(self.universe, mask).to_bits(),
+            removed=removed,
+            positives=p,
+            negatives=l,
+            hypothesis_size=h,
+            membership_queries=mem,
+            equivalence_queries=eq,
+            potential=None if self.bounds is None else l + (self.bounds.limit - spent),
+        )
+
     def _record(self, event: str, raw: Interpretation, refined, replaced_index=None,
-                replaced_old=None, removed=None):
+                replaced_old=None, removed=()):
         self.event_counts[event] += 1
         self.max_negatives = max(self.max_negatives, len(self.negatives))
-        record = TraceRecord(
-            iteration=self.iteration,
-            event=event,
-            counterexample=raw.to_bits(),
-            removed=len(removed or ()),
-            positives=len(self.positives),
-            negatives=len(self.negatives),
-            hypothesis_size=self._hypothesis_classes,
-            membership_queries=self.membership_queries,
-            equivalence_queries=self.equivalence_queries,
-            potential=self.potential(),
-        )
-        self.trace.append(record)
+        self._records.append((
+            self.iteration, event, raw.mask, len(removed), len(self.positives),
+            len(self.negatives), self._hypothesis_classes, self.membership_queries,
+            self.equivalence_queries,
+            sum(neg.false_mask.bit_count() for neg in self.negatives),
+        ))
         if self.observer is not None:
             self.observer(
                 self,
                 IterationEvent(
-                    record=record,
+                    record=self.trace[-1],
                     raw=raw,
                     refined=refined,
                     replaced_index=replaced_index,
                     replaced_old=replaced_old,
-                    removed=list(removed or ()),
+                    removed=list(removed),
                 ),
             )
 

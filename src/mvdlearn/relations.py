@@ -45,7 +45,8 @@ class Relation:
             row = tuple(row)
             if len(row) != universe.n:
                 raise SchemaError(
-                    f"row has {len(row)} values, schema has {universe.n}", row=i + 1
+                    f"row has {len(row)} values, the universe has {universe.n} attributes",
+                    row=i + 1,
                 )
             deduped[row] = None
         self.rows = tuple(deduped)
@@ -180,7 +181,7 @@ def interp_to_pair(interp: Interpretation) -> Relation:
     assignment collapses to a single-row relation.
     """
     n = interp.universe.n
-    return Relation(interp.universe, (binary_row(0, n), binary_row(interp.false_mask, n)))
+    return Relation(interp.universe, (("0",) * n, binary_row(interp.false_mask, n)))
 
 
 def _csv_records(text: str):

@@ -16,6 +16,7 @@ from mvdlearn import (
     MvdFormula,
     UniverseMismatchError,
     VariableUniverse,
+    format_clause,
     satisfies,
     violates,
 )
@@ -52,6 +53,20 @@ def enum_masks(n: int) -> Iterator[int]:
 def orientation_classes(formula: MvdFormula) -> frozenset:
     """The clauses of ``formula`` up to Y/Z orientation, as a set of keys."""
     return frozenset(c.orientation_key() for c in formula.clauses)
+
+
+def format_mvd_formula(formula: MvdFormula) -> str:
+    """The file-grammar text of ``formula``, one line per clause up to Y/Z
+    orientation, in the order of first appearance among its clauses."""
+    lines = [f"vars: {' '.join(formula.universe.names)}"]
+    seen = set()
+    for clause in formula.clauses:
+        key = clause.orientation_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        lines.append(format_clause(clause))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

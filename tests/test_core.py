@@ -57,7 +57,7 @@ from conftest import (
     random_target,
     split_satisfied,
 )
-from reference import covers, enum_masks, intersect
+from reference import covers, enum_masks, format_mvd_formula, intersect
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +738,47 @@ def test_format_collapses_orientation_twins():
     assert text.count("->") == 1
     # displayed orientation puts the side with the smallest variable left
     assert "1 2 3 -> 4 | 5" in text
+
+
+def test_format_formula_prints_blocks_as_the_clause_reference():
+    # printed from the blocks, without clause values, and compared with the
+    # clause-based reference: repeated masks, one-part blocks, `(V, ())`,
+    # twins across blocks (a mask split again in reversed part order, or
+    # with two parts merged) and formulas built from clauses, twins included
+    rng = random.Random(2017)
+    seen = dict.fromkeys(
+        ("repeated mask", "one-part block", "* -> F block", "twin across blocks",
+         "clause-built"), 0)
+    for trial in range(400):
+        u = numbered_universe(2 + trial % 7)
+        full = u.full_mask
+        if trial % 4 == 0:
+            clauses = list(random_target(u, rng).clauses)
+            clauses += [MvdClause(u, c.x_mask, c.z_mask, c.y_mask)
+                        for c in clauses if c.is_proper and rng.random() < 0.5]
+            f = MvdFormula(u, clauses)
+            seen["clause-built"] += 1
+        else:
+            blocks = list(random_block_formula(u, rng).blocks)
+            for x, parts in list(blocks):
+                if len(parts) > 1 and rng.random() < 0.5:
+                    again = rng.choice((parts[::-1], (parts[0] | parts[1], *parts[2:])))
+                    blocks.insert(rng.randrange(len(blocks) + 1), (x, again))
+            f = MvdFormula.from_blocks(u, blocks)
+            keys = [
+                {(x, *sorted((y, full ^ x ^ y))) for y in parts or (0,)}
+                for x, parts in blocks
+            ]
+            seen["repeated mask"] += len({x for x, _ in blocks}) < len(blocks)
+            seen["one-part block"] += any(len(parts) == 1 for _, parts in blocks)
+            seen["* -> F block"] += (full, ()) in blocks
+            seen["twin across blocks"] += any(
+                keys[i] & keys[j]
+                for i, j in itertools.combinations(range(len(blocks)), 2)
+                if blocks[i] != blocks[j]
+            )
+        assert format_formula(f) == format_mvd_formula(f)
+    assert all(seen.values()), seen
 
 
 def test_horn_formula_round_trip():

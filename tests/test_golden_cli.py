@@ -4,11 +4,13 @@ Each of `learn`, `learn-mvd`, `learn-horn` (both example kinds) and
 `learn-q` runs on a small fixed target in `tests/golden/` with each oracle
 strategy and `--output trace --trace FILE`.  Its stdout and its trace file
 must equal `tests/golden/<case>.<oracle>.stdout` and `.trace` byte for
-byte.  Scripted runs replay `tests/golden/<case>.script`, which holds the
-counterexamples the random teacher gave with seed 11, except the
-`learn-mvd` script: it comes from an earlier random relation teacher that
-drew candidate relations of two to four rows, and it is kept for its 3-row
-relation.  The random relation teacher answers with two-row relations
+byte.  Each also runs with the default `--output text` and no `--trace`,
+so that no trace record is built; its stdout must equal the golden stdout
+without its `iter=` lines.  Scripted runs replay
+`tests/golden/<case>.script`, which holds the counterexamples the random
+teacher gave with seed 11, except the `learn-mvd` script: it comes from an
+earlier random relation teacher that drew candidate relations of two to
+four rows, and it is kept for its 3-row relation.  The random relation teacher answers with two-row relations
 only, so this is the one golden run through the 3+-row counterexample
 translation.
 
@@ -109,6 +111,15 @@ def test_learning_command_bytes(case, oracle, tmp_path):
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{case}.{oracle}.stdout").read_text()
     assert trace == (GOLDEN / f"{case}.{oracle}.trace").read_text()
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_learning_command_bytes_without_a_trace(case, oracle):
+    code, out, err = run_cli(_argv(case, oracle))
+    assert (code, err) == (0, "")
+    golden = (GOLDEN / f"{case}.{oracle}.stdout").read_text().splitlines(keepends=True)
+    assert out == "".join(line for line in golden if not line.startswith("iter="))
 
 
 @pytest.mark.parametrize("case, script_text, stderr", SCRIPT_FAILURES)

@@ -581,14 +581,27 @@ class _ReferenceSession:
 
 def _compare_runs(universe, make_oracles, bounds=None):
     """Run both sessions and assert that every iteration's state and the
-    final results agree.
+    final results agree; then run the fast session again without an
+    observer, so that its trace is only built when read after the run, and
+    assert that its trace, result and counters agree too.
 
     ``make_oracles(running)`` returns fresh ``(mem, eq)`` oracles for each
     session; ``running`` is a list whose last entry is the session they
     serve.
     """
-    runs = []
     running = []
+
+    def run(session_class, observer=None):
+        mem, eq = make_oracles(running)
+        session = session_class(universe, mem, eq, bounds=bounds, observer=observer)
+        running.append(session)
+        try:
+            result = session.run().clauses
+        except (BoundViolationError, OracleContractError) as exc:
+            result = f"{type(exc).__name__}: {exc}"
+        return session.trace, result, counters(session)
+
+    runs = []
     for session_class in (LearnerSession, _ReferenceSession):
         states = []
 
@@ -605,17 +618,11 @@ def _compare_runs(universe, make_oracles, bounds=None):
                 event,
             ))
 
-        mem, eq = make_oracles(running)
-        session = session_class(universe, mem, eq, bounds=bounds, observer=observer)
-        running.append(session)
-        try:
-            result = session.run().clauses
-        except (BoundViolationError, OracleContractError) as exc:
-            result = f"{type(exc).__name__}: {exc}"
-        runs.append((states, session.trace, result, counters(session)))
+        runs.append((states, *run(session_class, observer)))
     fast, reference = runs
     assert fast[0] == reference[0]
     assert fast[1:] == reference[1:]
+    assert run(LearnerSession) == reference[1:]
     return fast
 
 

@@ -20,9 +20,15 @@ from mvdlearn import (
 )
 from mvdlearn.cli import main
 from mvdlearn.core import bit_indices
-from mvdlearn.relations import agreement_mask
+from mvdlearn.relations import agreement_mask, binary_row
 
-from conftest import enumerate_mvd_clauses, numbered_universe, random_proper_clause
+from conftest import (
+    enumerate_mvd_clauses,
+    numbered_universe,
+    random_block_formula,
+    random_proper_clause,
+    random_target,
+)
 from reference import agreement_interp, enum_masks
 
 
@@ -255,6 +261,15 @@ def test_schema_alignment_enforced():
             check(r, parse_clause("1 -> 2 | 3", u))
 
 
+def test_ragged_row_names_the_universe():
+    u = numbered_universe(3)
+    with pytest.raises(SchemaError) as err:
+        Relation(u, [("a", "b", "c"), ("a", "b")])
+    assert (str(err.value), err.value.row) == (
+        "row 2: row has 2 values, the universe has 3 attributes", 2
+    )
+
+
 def test_read_csv():
     r = read_csv("NAME,BOOK,PET\nAlice,Hamlet,Dog\n")
     assert r.universe.names == ("NAME", "BOOK", "PET")
@@ -305,3 +320,26 @@ def test_pair_bridge_identity_exhaustive():
             pair = interp_to_pair(interp)
             for clause in clauses:
                 assert mvd_holds(pair, clause) == (not violates(interp, clause))
+
+
+def test_interp_to_pair_is_two_binary_rows_and_proper_blocks_are_kept():
+    # the all-"0" row is built directly; the pair is still the relation of
+    # the two binary rows, and the all-true assignment gives one row
+    for n in range(1, 7):
+        u = numbered_universe(n)
+        for mask in range(1 << n):
+            interp = Interpretation(u, mask)
+            pair = interp_to_pair(interp)
+            expected = Relation(u, (binary_row(0, n), binary_row(interp.false_mask, n)))
+            assert pair.rows == expected.rows
+            assert len(pair) == len(expected) == (1 if mask == u.full_mask else 2)
+            assert pair == expected
+            assert hash(pair) == hash(expected)
+    # a formula's proper blocks are built once and read again as they are
+    rng = random.Random(1981)
+    for trial in range(100):
+        u = numbered_universe(2 + trial % 5)
+        for f in (random_block_formula(u, rng), random_target(u, rng)):
+            proper = f.proper_blocks()
+            assert f.proper_blocks() is proper
+            assert proper == tuple(block for block in f.blocks if len(block[1]) > 1)
