@@ -50,7 +50,6 @@ from .core import (
 from .errors import OracleContractError, ParseError, SchemaError, UniverseMismatchError
 from .relations import (
     Relation,
-    agreement_mask,
     interp_to_pair,
     mvd_holds,
     read_csv,
@@ -265,11 +264,13 @@ class RelationTeacher(_TeacherBase):
     built from clauses or from blocks.  Two rows satisfy a proper
     dependency exactly when their agreement assignment satisfies the
     clause, so membership on at most two rows is one bit of the target's
-    model set; scripted relations and membership on more rows go through
-    :meth:`holds`.  An equivalence answer is the two-row relation
-    (:func:`interp_to_pair`) of the one :meth:`_pick` from the difference
-    of the two model sets, so the ``random`` answer is uniform over the
-    differing assignments.
+    model set, the bit at the relation's ``agreement``; scripted relations
+    and membership on more rows go through :meth:`holds`.  An equivalence
+    answer is the two-row relation (:func:`interp_to_pair`) of the one
+    :meth:`_pick` from the difference of the two model sets, so the
+    ``random`` answer is uniform over the differing assignments.  Such a
+    pair carries its agreement mask and builds rows only when they are
+    read.
     """
 
     def __init__(self, target: MvdFormula, strategy="exhaustive", seed=0, script=None):
@@ -289,12 +290,11 @@ class RelationTeacher(_TeacherBase):
         if example.universe != self.universe:
             raise UniverseMismatchError("relation over the wrong universe")
         self.stats["membership_queries"] += 1
-        rows = example.rows
-        if len(rows) > 2:
+        if len(example) > 2:
             return self.holds(example, self.target)
-        if not rows:
-            return True
-        return bool(self._target_sets[0] >> agreement_mask(rows[0], rows[-1]) & 1)
+        # the empty relation's agreement is the full mask, a model of every
+        # formula, so it answers True
+        return bool(self._target_sets[0] >> example.agreement & 1)
 
     def _example(self, diffs) -> Relation:
         return interp_to_pair(Interpretation(self.universe, self._pick(diffs)[0]))

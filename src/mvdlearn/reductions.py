@@ -116,8 +116,10 @@ def relation_ce_to_interp(
     empty side holds in every relation, so the pair holds when the mask
     breaks none of the hypothesis's proper blocks
     (:meth:`MvdFormula.proper_blocks`).  So a two-row relation is its own
-    only pair and takes its verdict from it, and only a relation of three
-    or more rows is checked with the holds-in-relation check.
+    only pair and takes its verdict from its ``agreement``, without
+    reading its rows (a pair built by :func:`interp_to_pair` never builds
+    them here), and only a relation of three or more rows is checked with
+    the holds-in-relation check.
     """
     universe = _require_same_universe(hypothesis, relation)
     if len(relation) < 2:
@@ -126,12 +128,12 @@ def relation_ce_to_interp(
         )
     blocks = hypothesis.proper_blocks()
     full = universe.full_mask
-    rows = relation.rows
-    if len(rows) == 2:
-        agree = agreement_mask(*rows)
+    if len(relation) == 2:
+        agree = relation.agreement
         if bool(mem_relation(relation)) != blocks_hold(agree, blocks, full):
             return Interpretation(universe, agree)
     else:
+        rows = relation.rows
         hypothesis_holds = all(mvd_holds(relation, c) for c in hypothesis.clauses)
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):

@@ -10,6 +10,12 @@ the swap reproduces an existing row.
 
 So the same clause values are checked against assignments and against
 data, and a relation meets a clause only over the clause's universe.
+
+Two rows satisfy a proper dependency exactly when their agreement
+assignment satisfies the clause, so a relation knows the mask of the
+attributes on which all its rows agree.  A pair built from an assignment
+(:func:`interp_to_pair`) carries that mask and builds its rows only when
+they are read.
 """
 
 from __future__ import annotations
@@ -34,9 +40,17 @@ Row = tuple  # one text value per attribute
 
 
 class Relation:
-    """Rows over a variable universe: duplicate-free, insertion order kept."""
+    """Rows over a variable universe: duplicate-free, insertion order kept.
 
-    __slots__ = ("universe", "rows", "_row_set")
+    ``agreement`` is the mask of the attributes on which every row agrees
+    (the full mask for fewer than two rows), read once from the rows.  A
+    pair built from an assignment (:func:`interp_to_pair`) carries that
+    mask instead and builds its rows only when they are read; its length
+    comes from the mask.  The row set behind ``in``, ``==`` and ``hash`` is
+    built on first use.
+    """
+
+    __slots__ = ("universe", "_rows", "_row_set", "_agreement")
 
     def __init__(self, universe: VariableUniverse, rows: Iterable[Row] = ()):
         self.universe = universe
@@ -49,30 +63,57 @@ class Relation:
                     row=i + 1,
                 )
             deduped[row] = None
-        self.rows = tuple(deduped)
-        self._row_set = frozenset(self.rows)
+        self._rows = tuple(deduped)
+        self._row_set = None
+        self._agreement = None
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            n = self.universe.n
+            false_mask = self._agreement ^ self.universe.full_mask
+            zeros = ("0",) * n
+            self._rows = (zeros, binary_row(false_mask, n)) if false_mask else (zeros,)
+        return self._rows
+
+    @property
+    def agreement(self) -> int:
+        if self._agreement is None:
+            rows = self._rows
+            agree = self.universe.full_mask
+            for row in rows[1:]:
+                agree &= agreement_mask(rows[0], row)
+            self._agreement = agree
+        return self._agreement
+
+    def _rowset(self) -> frozenset:
+        if self._row_set is None:
+            self._row_set = frozenset(self.rows)
+        return self._row_set
 
     def __len__(self):
-        return len(self.rows)
+        if self._rows is None:
+            return 1 if self._agreement == self.universe.full_mask else 2
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.rows)
 
     def __contains__(self, row):
-        return tuple(row) in self._row_set
+        return tuple(row) in self._rowset()
 
     def __eq__(self, other):
         return (
             isinstance(other, Relation)
             and self.universe == other.universe
-            and self._row_set == other._row_set
+            and self._rowset() == other._rowset()
         )
 
     def __hash__(self):
-        return hash((self.universe, self._row_set))
+        return hash((self.universe, self._rowset()))
 
     def __repr__(self):
-        return f"Relation({self.universe.names!r}, {len(self.rows)} rows)"
+        return f"Relation({self.universe.names!r}, {len(self)} rows)"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -178,10 +219,15 @@ def interp_to_pair(interp: Interpretation) -> Relation:
     Disagreeing columns take the fresh values "0"/"1"; any injective choice
     works.  For a proper dependency the pair fails the dependency exactly
     when the assignment violates the matching clause, and the all-true
-    assignment collapses to a single-row relation.
+    assignment collapses to a single-row relation.  The pair carries the
+    assignment's mask as its ``agreement`` and builds its rows, the all-"0"
+    row and the binary row of the false variables, only when they are read.
     """
-    n = interp.universe.n
-    return Relation(interp.universe, (("0",) * n, binary_row(interp.false_mask, n)))
+    pair = Relation.__new__(Relation)
+    pair.universe = interp.universe
+    pair._rows = pair._row_set = None
+    pair._agreement = interp.mask
+    return pair
 
 
 def _csv_records(text: str):

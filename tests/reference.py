@@ -84,6 +84,18 @@ def agreement_interp(t, t2, universe: VariableUniverse) -> Interpretation:
     return Interpretation(universe, mask)
 
 
+def relation_agreement(relation) -> int:
+    """Mask of the attributes on which every row of ``relation`` agrees: the
+    AND of the agreement assignments of all its row pairs, every attribute
+    for fewer than two rows."""
+    universe = relation.universe
+    mask = universe.full_mask
+    for t in relation.rows:
+        for t2 in relation.rows:
+            mask &= agreement_interp(t, t2, universe).mask
+    return mask
+
+
 def pair_holds(agree: int, clauses) -> bool:
     """Whether the dependencies ``(x, y, z)`` all hold in a two-row relation
     whose rows agree exactly on the mask ``agree``.

@@ -33,6 +33,7 @@ from mvdlearn.core import (
     violator_bitset,
 )
 from mvdlearn.learner import LearnerSession
+from mvdlearn.relations import binary_row
 from mvdlearn.oracles import (
     EntailmentTeacher,
     MvdfInterpretationTeacher,
@@ -509,6 +510,25 @@ def test_relation_teacher_two_row_membership_on_text_values():
                 assert teacher.membership_answer(example) == teacher.holds(
                     example, teacher.target
                 )
+
+
+def test_relation_teacher_answers_mask_built_and_row_built_pairs_alike():
+    # membership on at most two rows reads the relation's agreement mask,
+    # so a pair built from an assignment is answered without its rows
+    rng = random.Random(27)
+    for n in range(2, 6):
+        u = numbered_universe(n)
+        for _ in range(3):
+            target = random_target(u, rng, allow_degenerate=False)
+            by_mask, by_rows = RelationTeacher(target), RelationTeacher(target)
+            for mask in range(1 << n):
+                interp = Interpretation(u, mask)
+                pair = interp_to_pair(interp)
+                rows = Relation(u, (binary_row(0, n), binary_row(interp.false_mask, n)))
+                assert by_mask.membership_answer(pair) == by_rows.membership_answer(rows) \
+                    == satisfies(interp, target)
+                assert by_mask.stats == by_rows.stats
+                assert pair._rows is None
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "random", "scripted"])

@@ -54,6 +54,7 @@ from mvdlearn.reductions import (
     quasi2_reduction,
     translate_oracles,
 )
+from mvdlearn.relations import binary_row
 
 from conftest import (
     entails_split,
@@ -152,6 +153,43 @@ def test_relation_ce_over_another_universe_is_rejected():
     foreign = Relation(VariableUniverse("abc"), [("a", "b", "c"), ("a", "d", "e")])
     with pytest.raises(UniverseMismatchError, match="values over different universes"):
         relation_ce_to_interp(foreign, hypo, relation_oracle(hypo))
+
+
+def test_relation_ce_treats_mask_built_and_row_built_pairs_alike():
+    # a two-row counterexample is judged on its agreement mask: both forms
+    # give the same assignment or error after the same queries, and the
+    # rows of a pair built from an assignment are never built
+    rng = random.Random(27)
+    seen = set()
+    for n in range(2, 6):
+        u = numbered_universe(n)
+        for _ in range(3):
+            target = random_target(u, rng, allow_degenerate=False)
+            hypotheses = [random_target(u, rng, allow_degenerate=False) for _ in range(3)]
+            for mask in range(1 << n):
+                interp = Interpretation(u, mask)
+                by_rows = Relation(u, (binary_row(0, n), binary_row(interp.false_mask, n)))
+                for hypothesis in hypotheses:
+                    by_mask = interp_to_pair(interp)
+                    runs = []
+                    for relation in (by_mask, by_rows):
+                        teacher = RelationTeacher(target)
+                        asked = []
+
+                        def mem(rel):
+                            asked.append(rel)
+                            return teacher.membership_answer(rel)
+
+                        try:
+                            result = relation_ce_to_interp(relation, hypothesis, mem)
+                        except OracleContractError as exc:
+                            result = f"error: {exc}"
+                        runs.append((result, asked, teacher.stats))
+                    assert by_mask._rows is None
+                    assert runs[0] == runs[1]
+                    seen.add((satisfies(interp, hypothesis), isinstance(runs[0][0], str)))
+    # hypotheses that fail and that hold in the pair, genuine counterexamples or not
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _reference_relation_ce_to_interp(relation, hypothesis, mem_relation):

@@ -1,6 +1,8 @@
 """Relation semantics, violating-pair search and CSV ingestion."""
 
+import copy
 import csv
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from mvdlearn import (
     read_csv,
     violates,
 )
+import mvdlearn.relations
 from mvdlearn.cli import main
 from mvdlearn.core import bit_indices
 from mvdlearn.relations import agreement_mask, binary_row
@@ -29,7 +32,7 @@ from conftest import (
     random_proper_clause,
     random_target,
 )
-from reference import agreement_interp, enum_masks
+from reference import agreement_interp, enum_masks, relation_agreement
 
 
 def holds_direct(relation, clause):
@@ -252,6 +255,34 @@ def test_agreement_mask_matches_agreement_interp_on_text_values():
     assert agreement_mask(("1", "10", ""), ("10", "10", "0")) == 0b010
 
 
+def test_relation_agreement_matches_the_reference(monkeypatch):
+    # 0-4 rows over text values; duplicates collapse before the AND
+    rng = random.Random(27)
+    alphabet = ["1", "10", "", "0", "01", "a,b"]
+    for n in range(1, 6):
+        u = numbered_universe(n)
+        for size in range(5):
+            for _ in range(30):
+                values = alphabet[:rng.randrange(1, len(alphabet) + 1)]
+                rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(size)]
+                relation = Relation(u, rows + rows[:rng.randrange(size + 1)])
+                assert relation.agreement == relation_agreement(relation)
+    u = numbered_universe(3)
+    t, t2 = ("1", "10", ""), ("10", "10", "0")
+    assert Relation(u).agreement == Relation(u, [t]).agreement == u.full_mask
+    assert Relation(u, [t, t, t]).agreement == u.full_mask
+    assert Relation(u, [t, t2, t]).agreement == 0b010
+    assert Relation(u, [t, t2, ("", "10", "")]).agreement == 0b010
+    assert Relation(u, [t, ("1", "1", "")]).agreement == 0b101
+    # read once: one agreement scan per row after the first, then the mask
+    scans = []
+    monkeypatch.setattr(mvdlearn.relations, "agreement_mask",
+                        lambda a, b: scans.append(1) or agreement_mask(a, b))
+    relation = Relation(u, [t, t2, ("", "10", ""), ("1", "10", "x")])
+    assert relation.agreement == relation.agreement == 0b010
+    assert len(scans) == 3
+
+
 def test_schema_alignment_enforced():
     u = numbered_universe(3)
     other = VariableUniverse(("A", "B", "C"))
@@ -343,3 +374,34 @@ def test_interp_to_pair_is_two_binary_rows_and_proper_blocks_are_kept():
             proper = f.proper_blocks()
             assert f.proper_blocks() is proper
             assert proper == tuple(block for block in f.blocks if len(block[1]) > 1)
+
+
+def test_mask_built_pair_matches_the_row_built_relation():
+    # interp_to_pair keeps the mask and builds its rows on first read; it
+    # is the relation of the all-"0" row and the binary row of the false
+    # variables in every respect, before and after its rows are built
+    for n in range(1, 7):
+        u = numbered_universe(n)
+        for mask in range(1 << n):
+            interp = Interpretation(u, mask)
+            expected = Relation(u, (binary_row(0, n), binary_row(interp.false_mask, n)))
+            size = 1 if mask == u.full_mask else 2
+            pair = interp_to_pair(interp)
+            assert (len(pair), pair.agreement, repr(pair)) == (size, mask, repr(expected))
+            assert pair._rows is None
+            assert pair.rows == expected.rows
+            assert (len(pair), pair.agreement) == (len(expected), expected.agreement)
+            assert list(pair) == list(expected)
+            ones = ("1",) * n
+            assert (ones in pair) == (ones in expected) == (mask == 0)
+            assert all(row in pair for row in expected)
+            assert pair == expected and expected == pair
+            assert hash(pair) == hash(expected)
+            assert repr(pair) == repr(expected)
+            assert pair != interp_to_pair(Interpretation(u, mask ^ 1))
+            # an unread pair copies as an unread pair
+            for copied in (pickle.loads(pickle.dumps(interp_to_pair(interp))),
+                           copy.copy(interp_to_pair(interp))):
+                assert copied._rows is None
+                assert (len(copied), copied.agreement) == (size, mask)
+                assert copied == expected and expected == copied
