@@ -48,11 +48,16 @@ class VariableUniverse:
     the instance, and so is ``cap``, the largest ``n`` it may be enumerated
     at.  Instances compare and hash equal when their name sequences match,
     whatever their caps; a pickled universe keeps its cap.
+
+    A universe also keeps the 2**n-bit sets its model-set code reads, each
+    built on first use: the list of its n variable patterns, the set of
+    masks with at least two false variables, and the n + 1 size layers,
+    which only a canonical select needs.
     """
 
     __slots__ = (
         "names", "cap", "n", "full_mask", "_hash", "_index", "_var_patterns", "_layers",
-        "_violator_cache", "__weakref__",
+        "_two_false", "_violator_cache", "__weakref__",
     )
 
     def __init__(self, names: Iterable[str], cap: int = DEFAULT_ENUM_CAP):
@@ -77,6 +82,7 @@ class VariableUniverse:
         self._index = {name: i for i, name in enumerate(names)}
         self._var_patterns = None
         self._layers = None
+        self._two_false = None
         # the violator sets of the formula last given to model_bitset, keyed
         # by a block's masks or by a clause's kind and masks, never by the
         # clause itself: a clause refers back to its universe, and that
@@ -97,7 +103,13 @@ class VariableUniverse:
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in bit_indices(mask))
+        names = self.names
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, VariableUniverse) and self.names == other.names
@@ -114,21 +126,22 @@ class VariableUniverse:
 
     # -- model-set plumbing -------------------------------------------------
 
-    def var_pattern(self, bit: int) -> int:
-        """Bitset over all 2**n masks marking those where variable ``bit`` is true."""
+    def var_patterns(self) -> list[int]:
+        """One bitset over all 2**n masks per variable: entry ``v`` marks the
+        masks where variable ``v`` is true.  All n are built on the first
+        call, so callers index the list directly."""
         if self._var_patterns is None:
-            self._var_patterns = [None] * self.n
-        pat = self._var_patterns[bit]
-        if pat is None:
-            block = ((1 << (1 << bit)) - 1) << (1 << bit)
             width = 1 << self.n
-            pat = block
-            shift = 1 << (bit + 1)
-            while shift < width:
-                pat |= pat << shift
-                shift <<= 1
-            self._var_patterns[bit] = pat
-        return pat
+            patterns = []
+            for bit in range(self.n):
+                pat = ((1 << (1 << bit)) - 1) << (1 << bit)
+                shift = 1 << (bit + 1)
+                while shift < width:
+                    pat |= pat << shift
+                    shift <<= 1
+                patterns.append(pat)
+            self._var_patterns = patterns
+        return self._var_patterns
 
     def size_layers(self) -> list[int]:
         """Bitsets over all 2**n masks, one per true-set size: entry ``k``
@@ -143,16 +156,28 @@ class VariableUniverse:
             self._layers = layers
         return self._layers
 
+    def two_false(self) -> int:
+        """Bitset over all 2**n masks marking those with at least two false
+        variables: every mask but the n + 1 with at most one."""
+        if self._two_false is None:
+            full = self.full_mask
+            bits = ((1 << (1 << self.n)) - 1) ^ (1 << full)
+            for bit in range(self.n):
+                bits ^= 1 << (full ^ (1 << bit))
+            self._two_false = bits
+        return self._two_false
+
     def superset_pattern(self, mask: int) -> int:
         """Bitset marking every assignment whose true-set contains ``mask``."""
         if not mask:
             return (1 << (1 << self.n)) - 1
+        patterns = self.var_patterns()
         low = mask & -mask
-        pat = self.var_pattern(low.bit_length() - 1)
+        pat = patterns[low.bit_length() - 1]
         mask ^= low
         while mask:
             low = mask & -mask
-            pat &= self.var_pattern(low.bit_length() - 1)
+            pat &= patterns[low.bit_length() - 1]
             mask ^= low
         return pat
 
@@ -243,9 +268,10 @@ def canonical_select(bits: int, universe: VariableUniverse, rank: int) -> Option
         rank -= count
     else:
         return None
+    patterns = universe.var_patterns()
     bit = 0
     while count > 1:
-        with_bit = part & universe.var_pattern(bit)
+        with_bit = part & patterns[bit]
         with_count = with_bit.bit_count()
         if rank < with_count:
             part, count = with_bit, with_count
@@ -264,8 +290,8 @@ def down_closure(bits: int, universe: VariableUniverse) -> int:
     mask reached by clearing any of the variables up to ``v`` in a marked
     mask.
     """
-    for v in range(universe.n):
-        bits |= (bits & universe.var_pattern(v)) >> (1 << v)
+    for v, pattern in enumerate(universe.var_patterns()):
+        bits |= (bits & pattern) >> (1 << v)
     return bits
 
 
@@ -278,9 +304,10 @@ def meet_above(bits: int, universe: VariableUniverse, mask: int) -> int:
     variable.
     """
     above = bits & universe.superset_pattern(mask)
+    patterns = universe.var_patterns()
     meet = universe.full_mask
     for v in bit_indices(universe.full_mask ^ mask):
-        if above & universe.var_pattern(v) != above:
+        if above & patterns[v] != above:
             meet ^= 1 << v
     return meet
 
@@ -618,7 +645,7 @@ def _key_violators(universe: VariableUniverse, key: tuple) -> int:
         _, antecedent, consequents = key
         bits = universe.superset_pattern(antecedent)
         for v in bit_indices(consequents):
-            bits ^= bits & universe.var_pattern(v)
+            bits ^= bits & universe.var_patterns()[v]
         return bits
     return block_violators(universe, *key)
 
@@ -638,10 +665,12 @@ def block_violators(universe: VariableUniverse, x: int, parts) -> int:
     block ``(x, parts)`` (see :func:`block_broken`).
 
     No part breaks on the all-true mask, and a single part on the masks
-    whose one false variable lies in it.  Otherwise, above x the false set
-    meets part P on ``above ^ (above & sup(P))``; folding the parts with
-    ``two |= one & meets`` and then ``one |= meets`` leaves in ``two`` the
-    masks whose false set meets two parts.
+    whose one false variable lies in it.  With two or more parts the false
+    set breaks the block when it meets two parts, that is when it has two
+    or more variables and does not fit inside one part.  So the violators
+    are the masks above x in the universe's :meth:`~VariableUniverse.two_false`
+    set, less, for each part P of two or more variables, those with every
+    variable of ``F \\ P`` true; a singleton part removes nothing.
     """
     full = universe.full_mask
     if not parts:
@@ -652,13 +681,12 @@ def block_violators(universe: VariableUniverse, x: int, parts) -> int:
             bits |= 1 << (full ^ (1 << v))
         return bits
     sup = universe.superset_pattern
-    above = sup(x)
-    one = two = 0
+    rest = full ^ x
+    bits = sup(x) & universe.two_false()
     for part in parts:
-        meets = above ^ (above & sup(part))
-        two |= one & meets
-        one |= meets
-    return two
+        if part & (part - 1):
+            bits ^= bits & sup(rest ^ part)
+    return bits
 
 
 def model_bitset(formula) -> int:

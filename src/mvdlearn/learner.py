@@ -260,8 +260,12 @@ class LearnerSession:
         """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
         if self.bounds is None:
             return None
-        spent = sum(neg.false_mask.bit_count() for neg in self.negatives)
-        return len(self.negatives) + (self.bounds.limit - spent)
+        return len(self.negatives) + (self.bounds.limit - self._false_total())
+
+    def _false_total(self) -> int:
+        """``sum |false(I)|`` over the stored negatives, read from their masks."""
+        full = self.universe.full_mask
+        return sum((full ^ neg.mask).bit_count() for neg in self.negatives)
 
     def _iteration_cap(self) -> int:
         if self.bounds is not None:
@@ -300,8 +304,7 @@ class LearnerSession:
         self._records.append((
             self.iteration, event, raw.mask, len(removed), len(self.positives),
             len(self.negatives), self._hypothesis_classes, self.membership_queries,
-            self.equivalence_queries,
-            sum(neg.false_mask.bit_count() for neg in self.negatives),
+            self.equivalence_queries, self._false_total(),
         ))
         if self.observer is not None:
             self.observer(

@@ -227,7 +227,7 @@ class EntailmentTeacher(_TeacherBase):
         for s in consequents:
             missing = models
             for v in bit_indices(s):
-                missing ^= missing & universe.var_pattern(v)
+                missing ^= missing & universe.var_patterns()[v]
             sets[s] = down_closure(missing, universe)
         return sets
 

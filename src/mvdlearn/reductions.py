@@ -277,8 +277,7 @@ def mvdf_to_horn(formula, strict: bool = True) -> HornFormula:
                     residual=formula,
                 )
             closed = (top << 1) - 1
-            for v in range(universe.n):
-                pattern = universe.var_pattern(v)
+            for pattern in universe.var_patterns():
                 closed &= down_closure(models ^ (models & pattern), universe) | pattern
             continue
         clauses.extend(HornClause(universe, p, v) for v in bit_indices(c & ~p))

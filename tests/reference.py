@@ -50,6 +50,11 @@ def enum_masks(n: int) -> Iterator[int]:
             yield mask
 
 
+def names_of(universe: VariableUniverse, mask: int) -> tuple[str, ...]:
+    """The names of the variables in ``mask``, in index order."""
+    return tuple(universe.names[i] for i in bit_indices(mask))
+
+
 def orientation_classes(formula: MvdFormula) -> frozenset:
     """The clauses of ``formula`` up to Y/Z orientation, as a set of keys."""
     return frozenset(c.orientation_key() for c in formula.clauses)

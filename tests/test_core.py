@@ -35,6 +35,7 @@ from mvdlearn import (
 )
 from mvdlearn.core import (
     _cache_key,
+    bit_indices,
     block_broken,
     block_violators,
     canonical_select,
@@ -57,7 +58,7 @@ from conftest import (
     random_target,
     split_satisfied,
 )
-from reference import covers, enum_masks, format_mvd_formula, intersect
+from reference import covers, enum_masks, format_mvd_formula, intersect, names_of
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,13 @@ def test_universe_rejects_bad_names():
         VariableUniverse(["a", "->"])
     with pytest.raises(ValueError):
         VariableUniverse(["a", "b c"])
+
+
+def test_names_of_matches_the_reference_for_every_mask():
+    for n in range(1, 9):
+        u = numbered_universe(n)
+        for mask in range(1 << n):
+            assert u.names_of(mask) == names_of(u, mask)
 
 
 def test_universe_hash_follows_its_names():
@@ -472,6 +480,64 @@ def test_block_formulas_match_the_clauses_they_stand_for():
         seen["repeated block"] += len(set(f.blocks)) < len(f.blocks)
         seen["* -> F block"] += (full, ()) in f.blocks
     assert all(seen.values()), seen
+
+
+def _set_partitions(bits):
+    """Every partition of the variable list ``bits`` into parts, each part a
+    mask."""
+    if not bits:
+        yield []
+        return
+    first = 1 << bits[0]
+    for rest in _set_partitions(bits[1:]):
+        yield [first, *rest]
+        for i, part in enumerate(rest):
+            yield [*rest[:i], part | first, *rest[i + 1:]]
+
+
+def test_block_violators_match_block_broken_on_every_partition():
+    # every antecedent x and every split of V \ x into two or more parts,
+    # in two part orders, against the per-mask definition
+    bell = [1, 1, 2, 5, 15, 52, 203]
+    for n in range(1, 6):
+        u = numbered_universe(n)
+        full = u.full_mask
+        checked = 0
+        for x in range(1 << n):
+            for parts in _set_partitions(list(bit_indices(full ^ x))):
+                if len(parts) < 2:
+                    continue
+                expected = sum(
+                    1 << m for m in range(1 << n)
+                    if m & x == x and block_broken(full ^ m, parts)
+                )
+                assert block_violators(u, x, tuple(parts)) == expected, (x, parts)
+                assert block_violators(u, x, tuple(parts[::-1])) == expected, (x, parts)
+                checked += 1
+        # Bell(n + 1) blocks in all, less the 2**n with fewer than two parts
+        assert checked == bell[n + 1] - (1 << n)
+
+
+def test_two_false_is_every_mask_below_the_top_two_layers():
+    for n in range(1, 13):
+        u = numbered_universe(n)
+        layers = u.size_layers()
+        assert u.two_false() == ((1 << (1 << n)) - 1) ^ layers[n] ^ layers[n - 1]
+
+
+def test_proper_model_sets_leave_the_size_layers_unbuilt():
+    # the two-false set comes from the top masks; the size layers (n + 1
+    # sets of 2**n bits) are built only for a canonical select
+    rng = random.Random(1648)
+    for n in range(3, 9):
+        u = numbered_universe(n)
+        formula = random_target(u, rng, allow_degenerate=False)
+        clause = random_clause(u, rng, allow_degenerate=False)
+        assert formula.proper_blocks() and clause.is_proper
+        model_bitset(formula)
+        entails(formula, clause)
+        assert u._two_false is not None
+        assert u._layers is None
 
 
 def test_models_with_nonmodel_intersection_cover_the_universe():

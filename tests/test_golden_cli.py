@@ -14,6 +14,13 @@ four rows, and it is kept for its 3-row relation.  The random relation teacher a
 only, so this is the one golden run through the 3+-row counterexample
 translation.
 
+`learn --oracle exhaustive` on `tests/golden/learn-n24.mvdf`, a target
+at the 24-variable enumeration cap, must print
+`tests/golden/learn-n24.exhaustive.stdout`; the target is
+`mvdf_text(Random("s2"), Random(2), 24, 8, 1)` of `perfbench/workloads.py`,
+and the run takes about a second and 165 MB.  The CI workflow diffs the
+installed console script's output against the same file.
+
 For every teacher kind, a script whose first entry is not a counterexample
 and an empty script must end with the oracle exit code and a fixed
 message.
@@ -120,6 +127,14 @@ def test_learning_command_bytes_without_a_trace(case, oracle):
     assert (code, err) == (0, "")
     golden = (GOLDEN / f"{case}.{oracle}.stdout").read_text().splitlines(keepends=True)
     assert out == "".join(line for line in golden if not line.startswith("iter="))
+
+
+def test_learn_at_the_enumeration_cap_bytes():
+    code, out, err = run_cli(
+        ["learn", "--target", str(GOLDEN / "learn-n24.mvdf"), "--oracle", "exhaustive"]
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "learn-n24.exhaustive.stdout").read_text()
 
 
 @pytest.mark.parametrize("case, script_text, stderr", SCRIPT_FAILURES)
