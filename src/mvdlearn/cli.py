@@ -210,7 +210,7 @@ class _Learning(NamedTuple):
     formula_kind: str  # grammar of the target file
     script_kind: str  # entry kind of --script files
     teacher: Callable  # (target, strategy, seed, script) -> teacher
-    reduction: Optional[Callable]  # teacher -> ReductionPair; None: no translation
+    reduction: Optional[Callable]  # () -> ReductionPair; None: no translation
     clause_factor: int  # factor on the target's clause count in the bounds
     extract: Optional[Callable]  # learned formula -> printed result; None: as learned
 
@@ -224,7 +224,7 @@ _LEARNING = {
     "learn-mvd": _Learning(
         "mvd", "relation",
         lambda target, *opts: RelationTeacher(target, *opts),
-        lambda teacher: relation_reduction(), 1, None,
+        lambda: relation_reduction(), 1, None,
     ),
     # the working formula represents a Horn target through the two-clause
     # encoding, so its size bound is twice the Horn clause count
@@ -236,13 +236,13 @@ _LEARNING = {
     ("learn-horn", "entailments"): _Learning(
         "horn", "horn",
         lambda target, *opts: EntailmentTeacher(target, "horn", *opts),
-        lambda teacher: horn_entailment_reduction(), 2,
+        lambda: horn_entailment_reduction(), 2,
         lambda learned: mvdf_to_horn(learned, strict=False),
     ),
     "learn-q": _Learning(
         "mvd", "quasi2",
         lambda target, *opts: EntailmentTeacher(target, "quasi2", *opts),
-        lambda teacher: quasi2_reduction(), 1, None,
+        lambda: quasi2_reduction(), 1, None,
     ),
 }
 
@@ -256,7 +256,7 @@ def _cmd_learn(args) -> int:
     teacher = row.teacher(target, _STRATEGY[args.oracle], args.seed, script)
     mem, eq = teacher.membership_answer, teacher.equivalence_answer
     if row.reduction is not None:
-        mem, eq = translate_oracles(row.reduction(teacher), mem, eq)
+        mem, eq = translate_oracles(row.reduction(), mem, eq)
     bounds = TheoreticalBounds(universe.n, row.clause_factor * len(target.clauses))
     session = LearnerSession(universe, mem, eq, bounds=bounds)
     learned = session.run()

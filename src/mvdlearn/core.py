@@ -853,31 +853,26 @@ def _parse_clause_tokens(tokens: list[str], universe: VariableUniverse, kind: st
         if kind == "horn":
             return HornClause(universe, universe.full_mask, None)
         return false_clause(universe)
-    if kind == "mvd":
-        if rhs.count("|") != 1:
-            raise ParseError("expected `<Y> | <Z>` on the right of `->`", line_no)
-        bar = rhs.index("|")
-        y_mask = _parse_side(rhs[:bar], universe, line_no)
-        z_mask = _parse_side(rhs[bar + 1 :], universe, line_no)
-        try:
+    try:
+        if kind == "mvd":
+            if rhs.count("|") != 1:
+                raise ParseError("expected `<Y> | <Z>` on the right of `->`", line_no)
+            bar = rhs.index("|")
+            y_mask = _parse_side(rhs[:bar], universe, line_no)
+            z_mask = _parse_side(rhs[bar + 1 :], universe, line_no)
             return MvdClause(universe, x_mask, y_mask, z_mask)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-    if kind == "horn":
-        if len(rhs) != 1:
-            raise ParseError("a Horn clause needs exactly one consequent variable", line_no)
-        try:
+        if kind == "horn":
+            if len(rhs) != 1:
+                raise ParseError("a Horn clause needs exactly one consequent variable", line_no)
             return HornClause(universe, x_mask, _variable_index(rhs[0], universe, line_no))
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-    if kind == "quasi2":
-        if not 1 <= len(rhs) <= 2 or "|" in rhs:
-            raise ParseError("expected one or two consequent variables", line_no)
-        cons = frozenset(_variable_index(tok, universe, line_no) for tok in rhs)
-        try:
+        if kind == "quasi2":
+            if not 1 <= len(rhs) <= 2 or "|" in rhs:
+                raise ParseError("expected one or two consequent variables", line_no)
+            cons = frozenset(_variable_index(tok, universe, line_no) for tok in rhs)
             return QuasiHorn2Clause(universe, x_mask, cons)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
+    except ValueError as exc:
+        # a clause constructor's check
+        raise ParseError(str(exc), line_no) from None
     raise ValueError(f"unknown clause kind: {kind!r}")
 
 

@@ -93,6 +93,23 @@ class IterationEvent:
     removed: list = field(default_factory=list)  # (index before removal, Interpretation)
 
 
+def _fold(block: tuple, positive: int, full: int) -> tuple:
+    """The block ``(x, parts)`` once the positive with mask ``positive``,
+    which covers x, is stored: when its false set meets two or more parts,
+    they merge into the first of them.  ``full`` is the universe's full
+    mask."""
+    x, parts = block
+    false_set = full ^ positive
+    broken = [y for y in parts if y & false_set]
+    # one met part holds the whole false set and breaks nothing
+    if len(broken) < 2:
+        return block
+    first = broken[0]
+    merged = sum(broken)  # the parts are disjoint
+    return x, tuple(merged if y == first else y for y in parts
+                    if y == first or not y & false_set)
+
+
 def construct_h0(universe: VariableUniverse, mem: MembershipOracle) -> MvdFormula:
     """Baseline hypothesis from n + 1 membership queries.
 
@@ -123,12 +140,13 @@ class LearnerSession:
     uses this hook to assert the loop invariants.
 
     Internally the session works on masks.  Each stored negative's block is
-    kept as the list of its Y-parts (the clause of part ``y`` is
-    ``true(I) -> y | false(I)\\y``), cached by the negative's mask together
-    with the number of positives already folded in.  Positives are only
-    ever appended, so a rebuild folds in just the new ones, in store order;
-    a positive that breaks the block merges the parts it meets into the
-    first of them.  The hypothesis is h0's blocks followed by these
+    kept as the tuple ``(x, parts)`` of its mask and its Y-parts (the clause
+    of part ``y`` is ``true(I) -> y | false(I)\\y``), cached by the mask.
+    Every cached block has every stored positive folded in: a block is
+    built from all the stored positives, in store order, and a positive is
+    folded into every cached block it covers as it is stored.  A positive
+    that breaks a block merges the parts it meets into the first of them.
+    The hypothesis is h0's blocks followed by these
     (:meth:`MvdFormula.from_blocks`), so its clauses are only built when
     something reads them.  The plain definitions of these
     steps, on interpretations and clauses, are kept in
@@ -160,7 +178,7 @@ class LearnerSession:
         self.h0: Optional[MvdFormula] = None
         self.hypothesis: Optional[MvdFormula] = None
         # per iteration: (iteration, event, raw mask, removed, P, L, H, mem,
-        # eq, the stored negatives' false-variable total)
+        # eq, potential)
         self._records: list[tuple] = []
         self._trace: list[TraceRecord] = []
         self.iteration = 0
@@ -169,8 +187,8 @@ class LearnerSession:
         self.max_negatives = 0
         self._max_hypothesis_classes = 1
 
-        # negative mask -> [Y-parts, number of positives folded in]
-        self._block_cache: dict[int, list] = {}
+        # negative mask -> its block (x, parts), every stored positive folded in
+        self._blocks: dict[int, tuple] = {}
         # the assignments h0 excludes, and the stored negatives' blocks
         self._h0_violators: frozenset = frozenset()
         self._negative_blocks: tuple = ()
@@ -179,19 +197,18 @@ class LearnerSession:
     # -- oracles -------------------------------------------------------------
 
     def mem(self, interp: Interpretation) -> bool:
-        cached = self._mem_cache.get(interp.mask)
-        if cached is not None:
-            return cached
-        answer = bool(self._mem_raw(interp))
-        self._mem_cache[interp.mask] = answer
-        self.membership_queries += 1
-        return answer
+        return self._mem_mask(interp.mask, interp)
 
-    def _mem_mask(self, mask: int) -> bool:
+    def _mem_mask(self, mask: int, interp: Optional[Interpretation] = None) -> bool:
+        """The target's answer on ``mask``; ``interp``, when given, is the
+        assignment of that mask to ask the oracle with."""
         cached = self._mem_cache.get(mask)
-        if cached is not None:
-            return cached
-        return self.mem(Interpretation(self.universe, mask))
+        if cached is None:
+            if interp is None:
+                interp = Interpretation(self.universe, mask)
+            cached = self._mem_cache[mask] = bool(self._mem_raw(interp))
+            self.membership_queries += 1
+        return cached
 
     def _equivalence(self) -> Optional[Interpretation]:
         self.equivalence_queries += 1
@@ -199,36 +216,27 @@ class LearnerSession:
 
     # -- masks ---------------------------------------------------------------
 
-    def _block(self, x: int, positives) -> list[int]:
-        """Y-parts of the block of the negative with mask ``x`` under ``positives``.
-
-        ``positives`` must extend the list the cached entry was folded
-        with; only its new entries are folded in.
-        """
-        entry = self._block_cache.get(x)
-        if entry is None:
-            entry = self._block_cache[x] = [
-                [1 << v for v in bit_indices(self.universe.full_mask ^ x)], 0
-            ]
-        parts, done = entry
-        if done < len(positives):
+    def _block(self, x: int) -> tuple:
+        """The block ``(x, parts)`` of the negative with mask ``x``."""
+        block = self._blocks.get(x)
+        if block is None:
             full = self.universe.full_mask
-            for pos in positives[done:]:
-                p = pos.mask
-                if p & x != x:
-                    continue
-                false_set = full ^ p
-                broken = [i for i, y in enumerate(parts) if false_set & y]
-                # one met part holds the whole false set and breaks nothing
-                if len(broken) > 1:
-                    merged = 0
-                    for i in broken:
-                        merged |= parts[i]
-                    parts[broken[0]] = merged
-                    for i in reversed(broken[1:]):
-                        del parts[i]
-            entry[1] = len(positives)
-        return parts
+            block = x, tuple(1 << v for v in bit_indices(full ^ x))
+            for pos in self.positives:
+                if pos.mask & x == x:
+                    block = _fold(block, pos.mask, full)
+            self._blocks[x] = block
+        return block
+
+    def _store_positive(self, interp: Interpretation) -> None:
+        """Store a positive and fold it into every cached block it covers."""
+        self.positives.append(interp)
+        p = interp.mask
+        full = self.universe.full_mask
+        blocks = self._blocks
+        for x, block in blocks.items():
+            if p & x == x:
+                blocks[x] = _fold(block, p, full)
 
     def _satisfies(self, mask: int) -> bool:
         """Whether ``mask`` is a model of the current hypothesis."""
@@ -252,7 +260,7 @@ class LearnerSession:
         full = self.universe.full_mask
         return [
             [MvdClause(self.universe, neg.mask, y, full ^ neg.mask ^ y)
-             for y in self._block(neg.mask, self.positives)]
+             for y in self._block(neg.mask)[1]]
             for neg in self.negatives
         ]
 
@@ -260,12 +268,9 @@ class LearnerSession:
         """Stored-negative budget ``|L| + (N - sum |false(I)|)``; needs bounds."""
         if self.bounds is None:
             return None
-        return len(self.negatives) + (self.bounds.limit - self._false_total())
-
-    def _false_total(self) -> int:
-        """``sum |false(I)|`` over the stored negatives, read from their masks."""
         full = self.universe.full_mask
-        return sum((full ^ neg.mask).bit_count() for neg in self.negatives)
+        spent = sum((full ^ neg.mask).bit_count() for neg in self.negatives)
+        return len(self.negatives) + (self.bounds.limit - spent)
 
     def _iteration_cap(self) -> int:
         if self.bounds is not None:
@@ -283,7 +288,7 @@ class LearnerSession:
         return trace
 
     def _trace_record(self, values: tuple) -> TraceRecord:
-        iteration, event, mask, removed, p, l, h, mem, eq, spent = values
+        iteration, event, mask, removed, p, l, h, mem, eq, potential = values
         return TraceRecord(
             iteration=iteration,
             event=event,
@@ -294,7 +299,7 @@ class LearnerSession:
             hypothesis_size=h,
             membership_queries=mem,
             equivalence_queries=eq,
-            potential=None if self.bounds is None else l + (self.bounds.limit - spent),
+            potential=potential,
         )
 
     def _record(self, event: str, raw: Interpretation, refined, replaced_index=None,
@@ -304,7 +309,7 @@ class LearnerSession:
         self._records.append((
             self.iteration, event, raw.mask, len(removed), len(self.positives),
             len(self.negatives), self._hypothesis_classes, self.membership_queries,
-            self.equivalence_queries, self._false_total(),
+            self.equivalence_queries, self.potential(),
         ))
         if self.observer is not None:
             self.observer(
@@ -355,7 +360,7 @@ class LearnerSession:
             )
         if not sat:
             # positive counterexample: a target model the hypothesis excludes
-            self.positives.append(raw)
+            self._store_positive(raw)
             self._rebuild()
             self._record("positive", raw, refined=None)
             return
@@ -378,7 +383,7 @@ class LearnerSession:
             self._record("append", raw, refined)
             return
 
-        self.positives = self._harvest(refined.mask)
+        self._harvest(refined.mask)
         replaced_old = self.negatives[slot]
         self.negatives[slot] = refined
         self.replacements[slot] += 1
@@ -387,7 +392,7 @@ class LearnerSession:
                 f"negative slot {slot} replaced more than {self.universe.n} times"
             )
         x = refined.mask
-        parts = self._block(x, self.positives)
+        _, parts = self._block(x)
         full = self.universe.full_mask
         removed = []
         for i in range(len(self.negatives) - 1, -1, -1):
@@ -421,18 +426,17 @@ class LearnerSession:
                 return raw if current == raw.mask else Interpretation(self.universe, current)
         raise BoundViolationError("counterexample refinement exceeded the universe size")
 
-    def _harvest(self, kernel: int) -> list[Interpretation]:
-        """The stored positives plus those harvested for ``kernel``.
+    def _harvest(self, kernel: int) -> None:
+        """Store the positives harvested for ``kernel``.
 
         While the intersection of some two stored negatives covers the
         kernel, breaks its block and is a model of the target, the first
-        such intersection, with pairs in position order, is appended.  Each
+        such intersection, with pairs in position order, is stored.  Each
         one merges parts of the block, so at most n rounds run."""
-        result = list(self.positives)
         negatives = [neg.mask for neg in self.negatives]
         full = self.universe.full_mask
         for _ in range(self.universe.n + 1):
-            parts = self._block(kernel, result)
+            _, parts = self._block(kernel)
             found = None
             for i, a in enumerate(negatives):
                 for b in negatives[i + 1:]:
@@ -444,12 +448,12 @@ class LearnerSession:
                 if found is not None:
                     break
             if found is None:
-                return result
-            result.append(Interpretation(self.universe, found))
+                return
+            self._store_positive(Interpretation(self.universe, found))
         raise BoundViolationError("positive-example harvesting exceeded the universe size")
 
     def _rebuild(self) -> None:
-        """Fold the new positives into every block, then build the hypothesis.
+        """Keep the blocks of the stored negatives, then build the hypothesis.
 
         ``H=`` counts the clauses up to Y/Z orientation without building
         them.  The h0 clauses are one class each.  A block of one part is
@@ -457,20 +461,16 @@ class LearnerSession:
         twins; with k >= 3 parts, each part's clause is its own class.  A
         repeated negative mask repeats its block, which counts once.
         """
-        blocks = []
-        cache = {}
+        blocks = {}
         classes = len(self.h0.clauses)
         for neg in self.negatives:
-            x = neg.mask
-            parts = tuple(self._block(x, self.positives))
-            if x not in cache:
+            if neg.mask not in blocks:
+                _, parts = blocks[neg.mask] = self._block(neg.mask)
                 classes += len(parts) if len(parts) > 2 else 1
-            cache[x] = self._block_cache[x]
-            blocks.append((x, parts))
         # blocks of dropped negatives are not kept
-        self._block_cache = cache
+        self._blocks = blocks
         self._hypothesis_classes = classes
-        self._negative_blocks = tuple(blocks)
+        self._negative_blocks = tuple([blocks[neg.mask] for neg in self.negatives])
         self.hypothesis = MvdFormula.from_blocks(
             self.universe, self.h0.blocks + self._negative_blocks
         )

@@ -230,6 +230,8 @@ def test_entails_accepts_a_purely_negative_quasi2_clause(tmp_path, capsys):
     ("mvd", "-> 2 | 3 4", "line 1: empty side (use `-` for an empty side)"),
     ("mvd", "1 -> 2 -> 3", "line 1: clause must contain exactly one `->`"),
     ("mvd", "1 -> 2 3 4", "line 1: expected `<Y> | <Z>` on the right of `->`"),
+    ("mvd", "1 -> 1 2 | 3 4", "line 1: clause sides must be pairwise disjoint"),
+    ("mvd", "1 -> 2 | 3", "line 1: clause sides must cover the universe"),
     ("mvd", "", "empty clause text"),
 ])
 def test_entails_rejects_a_malformed_clause(tmp_path, capsys, kind, clause, message):

@@ -740,6 +740,14 @@ def test_parse_clause_examples():
     assert (c.x_mask, c.y_mask, c.z_mask) == (0b000001, 0b000110, 0b111000)
 
 
+def test_parse_clause_rejects_an_unknown_kind_as_a_value_error():
+    # a caller's mistake, not malformed text: no ParseError and no line number
+    u = numbered_universe(3)
+    for text in ("1 -> 2 | 3", "1 -> 2"):
+        with pytest.raises(ValueError, match="unknown clause kind: 'bogus'"):
+            parse_clause(text, u, "bogus")
+
+
 def test_every_quasi2_clause_round_trips_through_the_text_format():
     # a purely negative clause `X -> F` parses back for any X, not only *
     for n in range(1, 5):

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and every
+private helper the package defines is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,51 @@ def test_modules_use_every_name_they_import(path):
 def test_unused_import_check_sees_an_unused_name():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == ["os", "d"]
     assert unused_imports("from __future__ import annotations\nx: int = 1\n") == []
+
+
+def unused_private_names(sources: list) -> list:
+    """Private (single-underscore) functions, methods and classes defined in
+    ``sources`` that no name, attribute or import in them refers to outside
+    the helper's own definition, in definition order."""
+    trees = [ast.parse(source) for source in sources]
+    definitions = [
+        node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    inside = {}  # id of a node -> the names of the definitions enclosing it
+    for definition in definitions:
+        for node in ast.walk(definition):
+            inside.setdefault(id(node), set()).add(definition.name)
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name not in inside.get(id(node), ()):
+                used.add(name)
+    return [d.name for d in definitions if d.name not in used]
+
+
+def test_package_uses_every_private_helper_it_defines():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []
+
+
+def test_unused_private_check_sees_an_unused_helper():
+    sources = [
+        "def _used():\n    pass\n"
+        "def _alone():\n    return _alone()\n"
+        "class _Kept:\n    def _method(self):\n        return self._other()\n"
+        "    def _other(self):\n        pass\n"
+        "    def __repr__(self):\n        pass\n",
+        "from a import _used\nx = _Kept()\n",
+    ]
+    # a reference from inside its own definition does not count
+    assert unused_private_names(sources) == ["_alone", "_method"]

@@ -11,6 +11,7 @@ import pytest
 from mvdlearn import (
     BoundViolationError,
     Interpretation,
+    MvdClause,
     MvdFormula,
     OracleContractError,
     construct_h0,
@@ -780,6 +781,81 @@ def test_block_hypothesis_has_the_reference_clauses_and_class_count():
         assert session._hypothesis_classes == len(orientation_classes(expected))
         repeated += len({neg.mask for neg in session.negatives}) < len(session.negatives)
     assert repeated
+
+
+def assert_block_store(session):
+    """The session caches a block for exactly the stored negatives' masks,
+    each with every stored positive folded in, as the reference builds it."""
+    u = session.universe
+    full = u.full_mask
+    assert set(session._blocks) == {neg.mask for neg in session.negatives}
+    for neg in session.negatives:
+        x, parts = session._blocks[neg.mask]
+        assert x == neg.mask
+        assert ([MvdClause(u, x, y, full ^ x ^ y) for y in parts]
+                == build_clauses(neg, session.positives))
+
+
+def test_block_store_holds_every_stored_positive_after_each_iteration():
+    rng = random.Random(2929)
+    seen = {"iteration": 0, "replace": 0, "prepared": 0}
+
+    def check(session, event):
+        assert_block_store(session)
+        seen["iteration"] += 1
+        seen["replace"] += event.record.event == "replace"
+
+    for trial in range(40):
+        n = 3 + trial % 7
+        u = numbered_universe(n)
+        target = random_target(u, rng)
+        for strategy in ("exhaustive", "random"):
+            teacher = MvdfInterpretationTeacher(target, strategy, seed=trial)
+            learn(u, teacher.membership_answer, teacher.equivalence_answer, observer=check)
+        proper = random_target(u, rng, max_clauses=4, allow_degenerate=False)
+        teacher = RelationTeacher(proper, "random", trial)
+        mem, eq = translate_oracles(
+            relation_reduction(), teacher.membership_answer, teacher.equivalence_answer
+        )
+        learn(u, mem, eq, observer=check)
+    for _ in range(200):
+        assert_block_store(_prepared_session(rng, rng.randrange(3, 7)))
+        seen["prepared"] += 1
+    assert all(seen.values()), seen
+
+
+def test_a_positive_stored_between_rebuilds_is_folded_into_every_cached_block():
+    rng = random.Random(3131)
+    several = 0  # stores that changed two or more cached blocks
+    for _ in range(300):
+        session = _prepared_session(rng, rng.randrange(3, 7))
+        models = [m for m in range(1 << session.universe.n) if session._mem_mask(m)]
+        if not models:
+            continue
+        before = dict(session._blocks)
+        session._store_positive(Interpretation(session.universe, rng.choice(models)))
+        assert_block_store(session)
+        several += sum(session._blocks[x] != block for x, block in before.items()) >= 2
+        session._rebuild()
+        expected = rebuild_hypothesis(session.h0, session.negatives, session.positives)
+        assert session.hypothesis.clauses == expected.clauses
+    assert several
+
+
+def test_a_harvest_that_raises_has_stored_only_target_models():
+    # two stored negatives whose intersection has one false variable break
+    # a one-part block that no positive can merge, so the harvest never
+    # ends; inconsistent with any target, but the positives it stored
+    # before giving up were each confirmed by a membership query
+    u = numbered_universe(3)
+    kernel = u.full_mask ^ 0b001
+    models = {kernel, u.full_mask}
+    session = LearnerSession(u, lambda interp: interp.mask in models, lambda h: None)
+    session.negatives = [Interpretation(u, kernel), Interpretation(u, kernel)]
+    with pytest.raises(BoundViolationError, match="harvesting"):
+        session._harvest(kernel)
+    assert session.positives
+    assert all(pos.mask in models for pos in session.positives)
 
 
 # ---------------------------------------------------------------------------
