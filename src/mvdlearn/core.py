@@ -84,10 +84,9 @@ class VariableUniverse:
         self._layers = None
         self._two_false = None
         # the violator sets of the formula last given to model_bitset, keyed
-        # by a block's masks or by a clause's kind and masks, never by the
-        # clause itself: a clause refers back to its universe, and that
-        # cycle would keep the cached bitsets alive until a full garbage
-        # collection
+        # by block, never by a clause: a clause refers back to its universe,
+        # and that cycle would keep the cached bitsets alive until a full
+        # garbage collection
         self._violator_cache = {}
 
     def index(self, name: str) -> int:
@@ -472,6 +471,10 @@ class _BaseFormula:
     def __hash__(self):
         return hash((self.universe, frozenset(self.clauses)))
 
+    def __repr__(self):
+        body = ", ".join(format_clause(c) for c in self.clauses)
+        return f"{type(self).__name__}({{{body}}})"
+
 
 class MvdFormula(_BaseFormula):
     """A conjunction of :class:`MvdClause` values over one universe.
@@ -532,17 +535,18 @@ class MvdFormula(_BaseFormula):
             )
         return self._proper_blocks
 
-    def __repr__(self):
-        body = ", ".join(format_clause(c) for c in self.clauses)
-        return f"MvdFormula({{{body}}})"
-
 
 class HornFormula(_BaseFormula):
-    """A conjunction of :class:`HornClause` values over one universe."""
+    """A conjunction of :class:`HornClause` values over one universe.
 
-    def __repr__(self):
-        body = ", ".join(format_clause(c) for c in self.clauses)
-        return f"HornFormula({{{body}}})"
+    On assignments each clause is its :func:`horn_to_mvd` encoding, so the
+    formula's ``blocks`` are the blocks of those full-cover clauses, and
+    :func:`model_bitset` reads them as it reads an :class:`MvdFormula`'s.
+    """
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(clause_block(m) for c in self.clauses for m in horn_to_mvd(c))
 
 
 Formula = Union[MvdFormula, HornFormula]
@@ -627,37 +631,27 @@ def satisfies(interp: Interpretation, formula) -> bool:
 # Enumeration-backed entailment and equivalence
 
 
-def _cache_key(clause: Clause) -> tuple:
-    """The clause's identity within one universe: a full-cover clause's
-    block, or a Horn or two-literal clause's kind and masks."""
-    if isinstance(clause, MvdClause):
-        return clause_block(clause)
-    if isinstance(clause, (HornClause, QuasiHorn2Clause)):
-        return (type(clause), clause.antecedent, clause.consequent_mask)
-    raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
-
-
-def _key_violators(universe: VariableUniverse, key: tuple) -> int:
-    """The violator set of a :func:`_cache_key`: for a Horn or two-literal
-    clause the assignments with the antecedent true and every consequent
-    false, otherwise the block's."""
-    if key[0] in (HornClause, QuasiHorn2Clause):
-        _, antecedent, consequents = key
-        bits = universe.superset_pattern(antecedent)
-        for v in bit_indices(consequents):
-            bits ^= bits & universe.var_patterns()[v]
-        return bits
-    return block_violators(universe, *key)
-
-
 def violator_bitset(clause: Clause) -> int:
     """Bitset over all 2**n masks marking the assignments violating ``clause``.
+
+    A full-cover clause's set is its block's; a Horn or two-literal
+    clause's holds the assignments with the antecedent true and every
+    consequent false.  Nothing is cached.
 
     Sets are cut with ``a ^ (a & b)`` rather than ``a & ~b``: ``~b`` of a
     2**n-bit set is a negative int, and the AND with it costs several times
     more than the two operations on non-negative ints.
     """
-    return _key_violators(clause.universe, _cache_key(clause))
+    universe = clause.universe
+    if isinstance(clause, MvdClause):
+        return block_violators(universe, *clause_block(clause))
+    if isinstance(clause, (HornClause, QuasiHorn2Clause)):
+        bits = universe.superset_pattern(clause.antecedent)
+        patterns = universe.var_patterns()
+        for v in bit_indices(clause.consequent_mask):
+            bits ^= bits & patterns[v]
+        return bits
+    raise TypeError(f"unsupported clause kind: {type(clause).__name__}")
 
 
 def block_violators(universe: VariableUniverse, x: int, parts) -> int:
@@ -689,33 +683,29 @@ def block_violators(universe: VariableUniverse, x: int, parts) -> int:
     return bits
 
 
-def model_bitset(formula) -> int:
+def model_bitset(formula: Formula) -> int:
     """Bitset over all 2**n masks marking the models of ``formula``.
 
-    The complement of the union of the violator sets of an
-    :class:`MvdFormula`'s blocks, or of the clauses of any other value with
-    a universe and clauses: one OR per set on non-negative ints, then a
-    single XOR with the full set.
+    The complement of the union of the :func:`block_violators` sets of the
+    formula's ``blocks``, a Horn formula's being those of its two-clause
+    encoding: one OR per set on non-negative ints, then a single XOR with
+    the full set.
 
     The universe keeps the violator sets of the formula whose model set it
-    last built, keyed by block or by :func:`_cache_key`, and no others.
-    Consecutive hypotheses share most of their blocks, so a rebuild
-    computes only the sets of the ones that are new.
+    last built, keyed by block, and no others.  Consecutive hypotheses
+    share most of their blocks, so a rebuild computes only the sets of the
+    ones that are new.
     """
     universe = formula.universe
     require_enumerable(universe)
-    if isinstance(formula, MvdFormula):
-        keys = formula.blocks
-    else:
-        keys = map(_cache_key, formula.clauses)
     cache = universe._violator_cache
     kept = {}
     violated = 0
-    for key in keys:
-        bits = cache.get(key)
+    for block in formula.blocks:
+        bits = cache.get(block)
         if bits is None:
-            bits = _key_violators(universe, key)
-        kept[key] = bits
+            bits = block_violators(universe, *block)
+        kept[block] = bits
         violated |= bits
     universe._violator_cache = kept
     return ((1 << (1 << universe.n)) - 1) ^ violated

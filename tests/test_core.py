@@ -3,7 +3,6 @@
 import itertools
 import pickle
 import random
-import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +11,7 @@ from mvdlearn import (
     DEFAULT_ENUM_CAP,
     EnumerationCapError,
     HornClause,
+    HornFormula,
     Interpretation,
     MvdClause,
     MvdFormula,
@@ -34,7 +34,6 @@ from mvdlearn import (
     violates,
 )
 from mvdlearn.core import (
-    _cache_key,
     bit_indices,
     block_broken,
     block_violators,
@@ -428,7 +427,10 @@ def test_violator_bitset_matches_the_direct_definition_for_every_kind():
 
 def test_model_bitset_and_superset_pattern_match_the_plain_definitions():
     # plain definitions: a model satisfies every clause, assignment by
-    # assignment; a superset pattern marks the masks containing the mask
+    # assignment; a superset pattern marks the masks containing the mask.
+    # Each bag of clauses gives an MvdFormula of its full-cover clauses and
+    # a HornFormula of its Horn clauses; its two-literal clauses are left
+    # to the violator_bitset test above
     rng = random.Random(1024)
     for n in range(1, 7):
         u = numbered_universe(n)
@@ -442,10 +444,13 @@ def test_model_bitset_and_superset_pattern_match_the_plain_definitions():
             for size in range(9)
             for _ in range(10)
         ]
-        for formula in formulas:
-            expected = sum(1 << i.mask for i in interps if satisfies(i, formula))
-            got = model_bitset(types.SimpleNamespace(universe=u, clauses=formula))
-            assert got == expected, formula
+        for bag in formulas:
+            for formula in (
+                MvdFormula(u, [c for c in bag if isinstance(c, MvdClause)]),
+                HornFormula(u, [c for c in bag if isinstance(c, HornClause)]),
+            ):
+                expected = sum(1 << i.mask for i in interps if satisfies(i, formula))
+                assert model_bitset(formula) == expected, formula
 
 
 def test_block_formulas_match_the_clauses_they_stand_for():
@@ -581,7 +586,16 @@ def test_the_violator_cache_holds_the_last_model_sets_clauses_only():
                 block: block_violators(u, *block) for block in formula.blocks
             }
         # a formula built from clauses is keyed by its clauses' blocks
-        assert [_cache_key(c) for c in f.clauses] == list(f.blocks)
+        assert [clause_block(c) for c in f.clauses] == list(f.blocks)
+        # a Horn formula by the blocks of its two-clause encoding
+        horn = random_definite_horn(u, rng)
+        model_bitset(horn)
+        assert u._violator_cache == {
+            clause_block(m): block_violators(u, *clause_block(m))
+            for c in horn.clauses
+            for m in horn_to_mvd(c)
+        }
+        model_bitset(f)
         before = dict(u._violator_cache)
         probes = [*random_target(u, rng, max_clauses=3).clauses,
                   HornClause(u, u.full_mask, None)]
@@ -637,6 +651,15 @@ def test_horn_to_mvd_reference_example():
     assert got == expected
 
 
+def test_formula_reprs_name_their_class_and_clauses():
+    u = numbered_universe(3)
+    mvd = MvdFormula(u, [parse_clause("1 -> 2 | 3", u), false_clause(u)])
+    horn = HornFormula(u, [HornClause(u, 0b001, 1), HornClause(u, u.full_mask, None)])
+    assert repr(mvd) == "MvdFormula({1 -> 2 | 3, * -> F})"
+    assert repr(horn) == "HornFormula({1 -> 2, * -> F})"
+    assert (repr(MvdFormula(u)), repr(HornFormula(u))) == ("MvdFormula({})", "HornFormula({})")
+
+
 def test_horn_to_mvd_degenerate_collapse():
     u = numbered_universe(4)
     horn = HornClause(u, u.full_mask ^ 0b0100, 2)
@@ -650,9 +673,14 @@ def test_translations_preserve_models():
     for _ in range(120):
         n = rng.randrange(2, 7)
         u = numbered_universe(n)
+        # a Horn formula and its image, against satisfaction assignment by
+        # assignment: both model sets go through the same blocks
         horn = random_definite_horn(u, rng, max_clauses=3)
-        image = horn_formula_to_mvd(horn)
-        assert model_bitset(horn) == model_bitset(image)
+        expected = sum(
+            1 << m for m in range(1 << n) if satisfies(Interpretation(u, m), horn)
+        )
+        assert model_bitset(horn) == expected
+        assert model_bitset(horn_formula_to_mvd(horn)) == expected
 
         clause = random_clause(u, rng)
         single = MvdFormula(u, [clause])
@@ -660,8 +688,6 @@ def test_translations_preserve_models():
         merged = model_bitset(single)
         combined = (1 << (1 << n)) - 1
         for q in distributed:
-            from mvdlearn.core import violator_bitset
-
             combined &= ~violator_bitset(q)
         assert merged == combined
 

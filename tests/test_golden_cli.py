@@ -21,6 +21,14 @@ at the 24-variable enumeration cap, must print
 and the run takes about a second and 165 MB.  The CI workflow diffs the
 installed console script's output against the same file.
 
+`learn-horn` on `tests/golden/learn-horn-false.horn`, whose target has
+the clause `* -> F`, runs from interpretations and from entailments with
+the exhaustive and the random oracle, pinned the same way.  All four runs
+print `mvdf_to_horn`'s `* -> F` line, and each entailment run answers one
+counterexample through `horn_f_eq`'s unit closure, the branch that spends
+membership queries.  The CI workflow diffs the installed console script's
+output against the same files.
+
 For every teacher kind, a script whose first entry is not a counterexample
 and an empty script must end with the oracle exit code and a fixed
 message.
@@ -59,6 +67,16 @@ COMMANDS = {
     "learn-q": ("learn-q", "learn-q.mvdf"),
 }
 
+# cases with no script: argv as for COMMANDS, exhaustive and random oracles only
+UNSCRIPTED = {
+    "learn-horn-false-interpretations": (
+        "learn-horn", "learn-horn-false.horn", "--examples", "interpretations",
+    ),
+    "learn-horn-false-entailments": (
+        "learn-horn", "learn-horn-false.horn", "--examples", "entailments",
+    ),
+}
+
 ORACLES = {
     "exhaustive": ["--oracle", "exhaustive"],
     "random": ["--oracle", "random", "--seed", "3"],
@@ -89,7 +107,7 @@ SCRIPT_FAILURES = [
 
 
 def _argv(case, oracle, script=None):
-    command, target, *extra = COMMANDS[case]
+    command, target, *extra = COMMANDS[case] if case in COMMANDS else UNSCRIPTED[case]
     argv = [command, "--target", str(GOLDEN / target), *extra, *ORACLES[oracle]]
     if oracle == "script":
         argv += ["--script", str(script or GOLDEN / f"{case}.script")]
@@ -127,6 +145,15 @@ def test_learning_command_bytes_without_a_trace(case, oracle):
     assert (code, err) == (0, "")
     golden = (GOLDEN / f"{case}.{oracle}.stdout").read_text().splitlines(keepends=True)
     assert out == "".join(line for line in golden if not line.startswith("iter="))
+
+
+@pytest.mark.parametrize("oracle", ["exhaustive", "random"])
+@pytest.mark.parametrize("case", sorted(UNSCRIPTED))
+def test_false_clause_target_bytes(case, oracle, tmp_path):
+    code, out, err, trace = run_case(case, oracle, tmp_path / "trace.txt")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.{oracle}.stdout").read_text()
+    assert trace == (GOLDEN / f"{case}.{oracle}.trace").read_text()
 
 
 def test_learn_at_the_enumeration_cap_bytes():

@@ -692,10 +692,20 @@ def test_lenient_horn_extraction_models_are_the_reference_closure():
     assert kinds >= {"V a model", "V not a model", "non-Horn"}
 
 
+def _is_block(key):
+    """Whether ``key`` has the shape of a block ``(x, parts)``."""
+    return (
+        len(key) == 2
+        and type(key[0]) is int
+        and type(key[1]) is tuple
+        and all(type(part) is int for part in key[1])
+    )
+
+
 def test_horn_extraction_leaves_no_horn_clause_in_the_violator_cache():
     # the Horn extraction builds the formula's model set, and horn_f_eq
     # closes antecedents on both sides, but neither may keep one 2**n-bit
-    # set per Horn clause on the universe
+    # set per Horn clause on the universe: every key is a block
     rng = random.Random(16)
     emitted = 0
     translated = 0
@@ -704,17 +714,17 @@ def test_horn_extraction_leaves_no_horn_clause_in_the_violator_cache():
         u = numbered_universe(n)
         formula = random_target(u, rng, max_clauses=4)
         emitted += len(mvdf_to_horn(formula, strict=False).clauses)
-        assert not any(key[0] is HornClause for key in u._violator_cache)
+        assert all(_is_block(key) for key in u._violator_cache)
 
         target = horn_formula_to_mvd(random_definite_horn(u, rng))
         emitted += len(mvdf_to_horn(target).clauses)
-        assert not any(key[0] is HornClause for key in u._violator_cache)
+        assert all(_is_block(key) for key in u._violator_cache)
         separating = [
             c for c in enumerate_horn_clauses(u) if entails(target, c) != entails(formula, c)
         ]
         if separating:
             horn_f_eq(rng.choice(separating), formula, entail_oracle(target))
-            assert not any(key[0] is HornClause for key in u._violator_cache)
+            assert all(_is_block(key) for key in u._violator_cache)
             translated += 1
     assert emitted
     assert translated
